@@ -286,21 +286,30 @@ func BenchmarkSampleEvaluatePipeline(b *testing.B) {
 // mapping, allocation-free (the production search inner loop; the
 // allocating convenience Sample entry is what one-shot callers use).
 func BenchmarkSampleRubyS(b *testing.B) {
-	benchSampleInto(b, mapspace.RubyS)
+	benchSampleInto(b, mapspace.RubyS, false)
 }
 
 // BenchmarkSamplePFM measures steady-state mapping generation for the
 // perfect baseline, allocation-free as above.
 func BenchmarkSamplePFM(b *testing.B) {
-	benchSampleInto(b, mapspace.PFM)
+	benchSampleInto(b, mapspace.PFM, false)
 }
 
-func benchSampleInto(b *testing.B, kind mapspace.Kind) {
+// BenchmarkSampleRubySBypass is BenchmarkSampleRubyS with storage-bypass
+// exploration on, which also redraws the per-level keep overrides —
+// allocation-free as above.
+func BenchmarkSampleRubySBypass(b *testing.B) {
+	benchSampleInto(b, mapspace.RubyS, true)
+}
+
+func benchSampleInto(b *testing.B, kind mapspace.Kind, bypass bool) {
 	b.Helper()
 	b.ReportAllocs()
 	layer := workloads.ResNet50()[3]
 	a := arch.EyerissLike(14, 12, 128)
-	sp := mapspace.New(layer.Work, a, kind, mapspace.EyerissRowStationary(layer.Work))
+	cons := mapspace.EyerissRowStationary(layer.Work)
+	cons.ExploreBypass = bypass
+	sp := mapspace.New(layer.Work, a, kind, cons)
 	smp := sp.NewSampler()
 	rng := rand.New(rand.NewSource(1))
 	m := &mapping.Mapping{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ruby/internal/arch"
-	"ruby/internal/factor"
 	"ruby/internal/workload"
 )
 
@@ -82,8 +81,8 @@ type denseMemo struct {
 // Dense returns the mapping's lowered form for the given evaluator context,
 // computing and memoizing it on first use. The same mutation invariant as
 // Key applies: a mapping that has been lowered must not be mutated in place
-// except through Invalidate (which SampleInto-style reusers call) or the
-// Set* patch methods below (which mapspace.Move uses).
+// except through Invalidate, RewriteDense (which the mapspace sampler calls)
+// or the Set* patch methods below (which mapspace.Move uses).
 //
 //ruby:hotpath
 func (m *Mapping) Dense(w *workload.Workload, a *arch.Arch, slots []Slot) (*Dense, error) {
@@ -97,14 +96,60 @@ func (m *Mapping) Dense(w *workload.Workload, a *arch.Arch, slots []Slot) (*Dens
 		m.spare = spare // keep the storage for a future successful lowering
 		return nil, err
 	}
+	m.installDense(w, a, len(slots), d)
+	return d, nil
+}
+
+// RewriteDense is the lowering entry point for producers that build a
+// mapping and its dense form in one pass (the mapspace sampler). It clears
+// the memoized key, installs the recycled dense storage, shaped for (w, a,
+// slots) and with an empty KeepMask, as the memoized lowering, and returns
+// it for the caller to overwrite: every Cum row (SetChainRow, or
+// SetChainRowChecked), every Perm row and any keep masks (SetKeepMask). It
+// is the caller's job to hold what it writes to densify's structural checks
+// (SetChainRowChecked, PermRowComplete). Under the single-owner contract
+// of Invalidate nothing may read m until the caller has done so — or has
+// called Invalidate to drop the lowering, after which Dense relowers m from
+// its fields and reports why it is invalid.
+//
+//ruby:hotpath
+func (m *Mapping) RewriteDense(w *workload.Workload, a *arch.Arch, slots []Slot) *Dense {
+	m.Invalidate()
+	d := denseStorage(m.spare, len(w.Dims), len(slots), len(a.Levels))
+	m.spare = nil
+	d.KeepMask = d.KeepMask[:0]
+	m.installDense(w, a, len(slots), d)
+	return d
+}
+
+// installDense memoizes d as the lowering against (w, a, nslots), reusing
+// the recycled memo record.
+//
+//ruby:hotpath
+func (m *Mapping) installDense(w *workload.Workload, a *arch.Arch, nslots int, d *Dense) {
 	memo := m.spareMemo
 	if memo == nil {
 		memo = &denseMemo{}
 	}
 	m.spareMemo = nil
-	memo.w, memo.a, memo.nslots, memo.d = w, a, len(slots), d
+	memo.w, memo.a, memo.nslots, memo.d = w, a, nslots, d
 	m.dense.Store(memo)
-	return d, nil
+}
+
+// denseStorage returns recycle when it is shaped for nd dimensions, ns
+// slots and nl levels, and fresh storage otherwise.
+//
+//ruby:hotpath
+func denseStorage(recycle *Dense, nd, ns, nl int) *Dense {
+	if recycle != nil && recycle.NDims == nd && recycle.NSlots == ns && len(recycle.Perm) == nl*nd {
+		return recycle
+	}
+	return &Dense{
+		NDims:  nd,
+		NSlots: ns,
+		Cum:    make([]int, nd*(ns+1)),
+		Perm:   make([]int16, nl*nd),
+	}
 }
 
 // UpdatableDense returns the memoized lowered form when it was computed
@@ -163,6 +208,49 @@ func (dn *Dense) SetChainRow(di, bound int, fs []int) {
 	}
 }
 
+// SetChainRowChecked is SetChainRow guarded by densify's structural chain
+// checks. It reports false, leaving the row unspecified, when fs is not a
+// valid chain over bound.
+//
+//ruby:hotpath
+func (dn *Dense) SetChainRowChecked(di, bound int, fs []int) bool {
+	if chainFault(bound, fs) != nil {
+		return false
+	}
+	dn.SetChainRow(di, bound, fs)
+	return true
+}
+
+// chainFault runs densify's structural checks on one outermost-first chain
+// over bound, replicating factor.ValidateChain over all-imperfect slots:
+// every factor is at least 1, none follows a unit residual or exceeds the
+// residual, and the residual ends at 1. It returns the legacy error
+// (innermost-first slot indices, as the legacy path reports them) or nil.
+//
+//ruby:hotpath
+func chainFault(bound int, fs []int) error {
+	ns := len(fs)
+	r := bound
+	for i := 0; i < ns; i++ {
+		f := fs[ns-1-i]
+		switch {
+		case f < 1:
+			return fmt.Errorf("factor: slot %d factor %d < 1", i, f)
+		case r == 1 && f != 1:
+			return fmt.Errorf("factor: slot %d factor %d after residual reached 1", i, f)
+		case r > 1 && f > r:
+			return fmt.Errorf("factor: slot %d factor %d exceeds residual %d", i, f, r)
+		}
+		if f > 1 { // f == 1 leaves r as is
+			r = (r + f - 1) / f // factor.CeilDiv, inlined: r, f >= 1
+		}
+	}
+	if r != 1 {
+		return fmt.Errorf("factor: chain leaves residual %d over dimension %d", r, bound)
+	}
+	return nil
+}
+
 // SetPermRowIDs relowers level li's temporal loop order in place from
 // workload dimension ids (declaration order), exactly as densify lowers the
 // equivalent name permutation. Movers keep id arrays in lockstep with their
@@ -171,6 +259,37 @@ func (dn *Dense) SetChainRow(di, bound int, fs []int) {
 //ruby:hotpath
 func (dn *Dense) SetPermRowIDs(li int, ids []int16) {
 	copy(dn.Perm[li*dn.NDims:], ids)
+}
+
+// PermRowComplete reports whether level li's Perm row holds every dimension
+// id — densify's completeness check.
+//
+//ruby:hotpath
+func (dn *Dense) PermRowComplete(li int) bool {
+	nd := dn.NDims
+	row := dn.Perm[li*nd : li*nd+nd]
+	if nd <= 64 {
+		var seen uint64
+		for _, id := range row {
+			if id >= 0 && int(id) < nd {
+				seen |= 1 << uint(id)
+			}
+		}
+		return seen == ^uint64(0)>>uint(64-nd)
+	}
+	for dj := 0; dj < nd; dj++ {
+		found := false
+		for _, id := range row {
+			if int(id) == dj {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // SetKeepMask writes the bypass-override mask of level li, first growing the
@@ -213,16 +332,7 @@ func (dn *Dense) TruncKeepMask(n int) {
 //ruby:hotpath
 func (m *Mapping) densify(w *workload.Workload, a *arch.Arch, slots []Slot, recycle *Dense) (*Dense, error) {
 	nd, ns, nl := len(w.Dims), len(slots), len(a.Levels)
-	stride := ns + 1
-	d := recycle
-	if d == nil || d.NDims != nd || d.NSlots != ns || len(d.Perm) != nl*nd {
-		d = &Dense{
-			NDims:  nd,
-			NSlots: ns,
-			Cum:    make([]int, nd*stride),
-			Perm:   make([]int16, nl*nd),
-		}
-	}
+	d := denseStorage(recycle, nd, ns, nl)
 	d.KeepMask = d.KeepMask[:0]
 
 	chainsErr := func(err error) (*Dense, error) {
@@ -237,45 +347,10 @@ func (m *Mapping) densify(w *workload.Workload, a *arch.Arch, slots []Slot, recy
 		if len(fs) != ns {
 			return chainsErr(fmt.Errorf("mapping: dim %q has %d factors for %d slots", dim.Name, len(fs), ns))
 		}
-		// Structural validity under ceiling semantics, replicating
-		// factor.ValidateChain over all-imperfect slots (innermost-first
-		// slot indices in the messages, as the legacy path reports them).
-		r := dim.Bound
-		for i := 0; i < ns; i++ {
-			f := fs[ns-1-i]
-			var ferr error
-			switch {
-			case f < 1:
-				ferr = fmt.Errorf("factor: slot %d factor %d < 1", i, f)
-			case r == 1 && f != 1:
-				ferr = fmt.Errorf("factor: slot %d factor %d after residual reached 1", i, f)
-			case r > 1 && f > r:
-				ferr = fmt.Errorf("factor: slot %d factor %d exceeds residual %d", i, f, r)
-			}
-			if ferr != nil {
-				return chainsErr(fmt.Errorf("mapping: dim %q: %w", dim.Name, ferr))
-			}
-			if r > 1 {
-				r = factor.CeilDiv(r, f)
-			}
+		if err := chainFault(dim.Bound, fs); err != nil {
+			return chainsErr(fmt.Errorf("mapping: dim %q: %w", dim.Name, err))
 		}
-		if r != 1 {
-			return chainsErr(fmt.Errorf("mapping: dim %q: %w", dim.Name,
-				fmt.Errorf("factor: chain leaves residual %d over dimension %d", r, dim.Bound)))
-		}
-		// Cumulative tile sizes, exactly as NewChain computes them.
-		row := d.Cum[di*stride : di*stride+stride]
-		row[ns] = 1
-		prod := 1
-		for i := ns - 1; i >= 0; i-- {
-			if prod < dim.Bound {
-				prod *= fs[i]
-			}
-			if prod > dim.Bound {
-				prod = dim.Bound
-			}
-			row[i] = prod
-		}
+		d.SetChainRow(di, dim.Bound, fs)
 	}
 
 	permsErr := func(err error) (*Dense, error) {
@@ -289,21 +364,13 @@ func (m *Mapping) densify(w *workload.Workload, a *arch.Arch, slots []Slot, recy
 			return permsErr(fmt.Errorf("mapping: level %d perm has %d dims, want %d", li, len(perm), nd))
 		}
 		base := li * nd
-		var seen uint64
 		for k, name := range perm {
-			id := w.DimID(name)
-			d.Perm[base+k] = id
-			if id >= 0 && id < 64 {
-				seen |= 1 << uint(id)
-			}
+			d.Perm[base+k] = w.DimID(name)
 		}
-		// Completeness check: one bitmask compare on the common path; the
-		// quadratic rescan runs only to locate the first missing dimension
-		// for the exact legacy error message (or when there are more
-		// dimensions than mask bits).
-		if nd < 64 && seen == (uint64(1)<<uint(nd))-1 || nd == 64 && seen == ^uint64(0) {
+		if d.PermRowComplete(li) {
 			continue
 		}
+		// Locate the first missing dimension for the exact legacy message.
 		for dj := range w.Dims {
 			found := false
 			for k := 0; k < nd; k++ {

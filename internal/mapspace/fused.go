@@ -182,71 +182,56 @@ func (s *Space) sampleFusedExtent(rng *rand.Rand, advance, bound int, dc *divCac
 	return 1
 }
 
-// sampleFusedChainInto draws one fused dimension's outermost-first chain
-// into fs, consuming from the shared spatial budget: extent first, then
-// perfect inner factors with the fusion slot absorbing, then kind-ruled
-// outer factors with the DRAM slot absorbing.
+// drawFusedChain draws fused dimension di's outermost-first chain into fs,
+// consuming from the shared spatial budget: extent first, then perfect inner
+// factors with the fusion slot absorbing, then kind-ruled outer factors with
+// the DRAM slot absorbing.
 //
 //ruby:hotpath
-func (s *Space) sampleFusedChainInto(rng *rand.Rand, d string, advance int, budget, fs []int, dc *divCache) {
-	b := s.Work.Bound(d)
+func (s *Space) drawFusedChain(rng *rand.Rand, di, advance int, budget, fs []int, dc *divCache) {
+	ns := len(s.slots)
+	flags := s.rt.flags[di*ns : di*ns+ns]
+	b := s.Work.Dims[di].Bound
 	e := s.sampleFusedExtent(rng, advance, b, dc)
 
 	// Inner region: perfect divisors of the extent; the fusion slot absorbs
 	// what the draws leave so the inner product equals e exactly.
 	r := e
-	for i := len(s.slots) - 1; i > s.fuseSlot; i-- {
-		sl := s.slots[i]
+	for i := ns - 1; i > s.fuseSlot; i-- {
+		fl := flags[i]
 		f := 1
 		if r > 1 {
-			if sl.Spatial() {
-				if s.Cons.allowed(sl.Kind, d) {
-					max := r
-					if budget[i] < max {
-						max = budget[i]
-					}
-					if s.Cons.required(sl.Kind, d) {
-						f = s.divisorGE2LE(rng, r, max, dc)
-					} else {
-						f = s.cappedDivisor(rng, r, max, dc)
-					}
-				}
-			} else {
-				max := r
-				if s.Cons.MaxTemporalFactor > 0 && s.Cons.MaxTemporalFactor < max {
-					max = s.Cons.MaxTemporalFactor
+			max := r
+			switch {
+			case fl&ruleSpatial == 0:
+				if c := s.Cons.MaxTemporalFactor; c > 0 && c < max {
+					max = c
 				}
 				f = s.cappedDivisor(rng, r, max, dc)
+			case fl&ruleAllowed == 0:
+			default:
+				if budget[i] < max {
+					max = budget[i]
+				}
+				if fl&ruleRequired != 0 {
+					f = s.divisorGE2LE(rng, r, max, dc)
+				} else {
+					f = s.cappedDivisor(rng, r, max, dc)
+				}
 			}
 		}
 		fs[i] = f
-		if sl.Spatial() && f > 1 {
+		if fl&ruleSpatial != 0 && f > 1 {
 			budget[i] /= f
 		}
 		r /= f
 	}
 	fs[s.fuseSlot] = r
 
-	// Outer region: the kind's usual rules over the remaining coverage.
-	r = factor.CeilDiv(b, e)
-	for i := s.fuseSlot - 1; i >= 1; i-- {
-		sl := s.slots[i]
-		f := s.sampleFactor(rng, sl, d, r, budget[i], s.requiredOuter(d, i), dc)
-		fs[i] = f
-		if sl.Spatial() && f > 1 {
-			budget[i] /= f
-		}
-		if r > 1 {
-			if sl.Spatial() && !s.Kind.imperfectSpatial() || !sl.Spatial() && !s.Kind.imperfectTemporal() {
-				r /= f
-			} else {
-				r = factor.CeilDiv(r, f)
-			}
-		}
-	}
-	if s.fuseSlot > 0 {
-		fs[0] = r
-	}
+	// Outer region: the kind's usual rules over the remaining coverage,
+	// the DRAM slot absorbing. drawOuter's check result is dropped: the
+	// sampler runs densify's checks on fused chains whole.
+	s.drawOuter(rng, flags, s.fuseSlot, factor.CeilDiv(b, e), budget, fs, dc)
 }
 
 // FuseTileOf derives the producer-side FuseTile constraint from a consumer's

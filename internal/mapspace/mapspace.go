@@ -17,7 +17,6 @@ package mapspace
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"ruby/internal/arch"
@@ -170,6 +169,9 @@ type Space struct {
 	// is fused (Cons.FuseTile non-empty); -1 otherwise.
 	fuseSlot int
 
+	// rt is the sampling rule table, built once here and immutable after.
+	rt rules
+
 	// divCache memoizes factor.Divisors per dimension residual: random
 	// sampling hits the same few residuals millions of times.
 	//ruby:guards divCache
@@ -196,6 +198,7 @@ func New(w *workload.Workload, a *arch.Arch, kind Kind, cons Constraints) *Space
 		}
 		s.fuseSlot = mapping.FirstSlotOfLevel(s.slots, lvl)
 	}
+	s.rt = s.buildRules()
 	return s
 }
 
@@ -326,338 +329,6 @@ func (s *Space) TotalChainCount() uint64 {
 		total *= s.ChainCount(d.Name)
 	}
 	return total
-}
-
-// Sample draws a random mapping. Factors are chosen slot-by-slot from each
-// dimension's admissible set (divisors for perfect slots, any value up to the
-// residual and fanout cap for imperfect slots); the outermost temporal slot
-// absorbs whatever residual remains, exactly as in the chain formulation.
-// Spatial factors additionally respect a shared per-slot fanout budget so
-// that most samples pass the evaluator's fanout check. Permutations are
-// uniform random unless FixedPerms is set.
-//
-// Sampled mappings are structurally valid but may still violate buffer
-// capacities; the caller's search loop filters those, mirroring Timeloop's
-// generate-then-filter design.
-func (s *Space) Sample(rng *rand.Rand) *mapping.Mapping {
-	m := &mapping.Mapping{}
-	s.sampleInto(rng, m, make([]int, len(s.slots)), append([]string(nil), s.dimNames...), nil)
-	return m
-}
-
-// Sampler owns the per-goroutine scratch for repeated in-place sampling.
-// One Sampler per goroutine; the underlying Space stays shared.
-type Sampler struct {
-	sp     *Space
-	budget []int
-	dims   []string
-	dc     *divCache
-}
-
-// NewSampler builds a Sampler over the space.
-func (s *Space) NewSampler() *Sampler {
-	return &Sampler{
-		sp:     s,
-		budget: make([]int, len(s.slots)),
-		dims:   append([]string(nil), s.dimNames...),
-		dc:     s.newDivCache(),
-	}
-}
-
-// SampleInto redraws m in place, reusing its factor slices and perm storage,
-// and pre-lowers the result to its dense form so the evaluation pipeline
-// downstream stays allocation-free at steady state. The random draw sequence
-// is identical to Sample's: a seeded search produces the same mappings
-// whichever entry point it uses. The caller must own m exclusively (clone
-// before sharing across goroutines).
-//
-//ruby:hotpath
-func (sm *Sampler) SampleInto(rng *rand.Rand, m *mapping.Mapping) {
-	s := sm.sp
-	copy(sm.dims, s.dimNames)
-	s.sampleInto(rng, m, sm.budget, sm.dims, sm.dc)
-	m.Dense(s.Work, s.Arch, s.slots) // structurally valid by construction
-}
-
-// sampleInto is the sampling core behind Sample and Sampler.SampleInto.
-// budget and dims are caller-owned scratch; dims must hold the dimension
-// names in declaration order on entry.
-//
-//ruby:hotpath
-func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget []int, dims []string, dc *divCache) {
-	m.Invalidate()
-	if m.Factors == nil {
-		m.Factors = make(map[string][]int, len(s.Work.Dims))
-	}
-	m.Keep = nil
-
-	// Shared fanout budgets per spatial slot.
-	for i, sl := range s.slots {
-		if sl.Spatial() {
-			budget[i] = sl.Fanout
-		} else {
-			budget[i] = 0
-		}
-	}
-
-	// Visit dimensions in random order so no dimension monopolizes fanout —
-	// except dimensions with a required spatial allocation, which go first
-	// so the fanout budget cannot be starved before they draw.
-	rng.Shuffle(len(dims), func(i, j int) { dims[i], dims[j] = dims[j], dims[i] })
-	if len(s.Cons.RequireSpatialX)+len(s.Cons.RequireSpatialY) > 0 {
-		sortRequiredFirst(dims, s.Cons)
-	}
-
-	for _, d := range dims {
-		fs := m.Factors[d]
-		if len(fs) != len(s.slots) {
-			fs = make([]int, len(s.slots))
-			m.Factors[d] = fs
-		}
-		s.sampleChainInto(rng, d, budget, fs, dc)
-	}
-
-	if s.Cons.FixedPerms {
-		m.Perms = mapping.DefaultPerms(s.Work, s.Arch)
-	} else {
-		if len(m.Perms) != len(s.Arch.Levels) {
-			m.Perms = make([][]string, len(s.Arch.Levels))
-		}
-		for li := range m.Perms {
-			p := m.Perms[li]
-			if len(p) != len(s.dimNames) {
-				p = append([]string(nil), s.dimNames...) //ruby:allow hotpath -- first-sample initialization; steady state copies in place
-			} else {
-				copy(p, s.dimNames)
-			}
-			rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-			m.Perms[li] = p
-		}
-	}
-	if s.Cons.ExploreBypass {
-		s.sampleBypass(rng, m)
-	}
-}
-
-// sampleBypass randomly drops tensors from intermediate storage levels
-// (never DRAM, never the innermost level — dropping the last on-chip home
-// of a tensor is almost never useful and would dominate the samples).
-func (s *Space) sampleBypass(rng *rand.Rand, m *mapping.Mapping) {
-	n := len(s.Arch.Levels)
-	if n <= 2 {
-		return
-	}
-	for li := 1; li < n-1; li++ {
-		l := &s.Arch.Levels[li]
-		var keep map[workload.Role]bool
-		for _, r := range workload.Roles {
-			if !l.KeepsRole(r, false) {
-				continue
-			}
-			if keep == nil {
-				keep = map[workload.Role]bool{}
-				for _, rr := range workload.Roles {
-					if l.KeepsRole(rr, false) {
-						keep[rr] = true
-					}
-				}
-			}
-			if rng.Intn(4) == 0 {
-				keep[r] = false
-			}
-		}
-		if keep == nil {
-			continue
-		}
-		if m.Keep == nil {
-			m.Keep = make([]map[workload.Role]bool, n)
-		}
-		m.Keep[li] = keep
-	}
-}
-
-// sampleChain draws one dimension's outermost-first factor chain, consuming
-// from the shared spatial budget slice.
-func (s *Space) sampleChain(rng *rand.Rand, d string, budget []int) []int {
-	fs := make([]int, len(s.slots))
-	s.sampleChainInto(rng, d, budget, fs, nil)
-	return fs
-}
-
-// sampleChainInto is sampleChain writing into caller-owned storage (len must
-// equal the slot count; every entry is overwritten).
-//
-//ruby:hotpath
-func (s *Space) sampleChainInto(rng *rand.Rand, d string, budget, fs []int, dc *divCache) {
-	if a, ok := s.fusedAdvance(d); ok {
-		s.sampleFusedChainInto(rng, d, a, budget, fs, dc)
-		return
-	}
-	r := s.Work.Dims[s.Work.DimID(d)].Bound // d is one of the space's dim names
-	// Innermost-first; slot 0 of s.slots is outermost.
-	for i := len(s.slots) - 1; i >= 0; i-- {
-		sl := s.slots[i]
-		if i == 0 {
-			// Outermost temporal slot absorbs the residual.
-			fs[i] = r
-			break
-		}
-		f := s.sampleFactor(rng, sl, d, r, budget[i], s.requiredOuter(d, i), dc)
-		fs[i] = f
-		if sl.Spatial() && f > 1 {
-			budget[i] /= f
-		}
-		if r > 1 {
-			if sl.Spatial() && !s.Kind.imperfectSpatial() || !sl.Spatial() && !s.Kind.imperfectTemporal() {
-				r /= f
-			} else {
-				r = factor.CeilDiv(r, f)
-			}
-		}
-	}
-}
-
-// SampleChain draws a fresh factor chain for one dimension against a full
-// fanout budget. Used by local-search mutation operators; the joint fanout
-// across dimensions is re-checked by the evaluator.
-func (s *Space) SampleChain(rng *rand.Rand, d string) []int {
-	budget := make([]int, len(s.slots))
-	for i, sl := range s.slots {
-		if sl.Spatial() {
-			budget[i] = sl.Fanout
-		}
-	}
-	return s.sampleChain(rng, d, budget)
-}
-
-// SamplePerm draws a random loop order (or the canonical one under
-// FixedPerms).
-func (s *Space) SamplePerm(rng *rand.Rand) []string {
-	p := append([]string(nil), s.Work.DimNames()...)
-	if !s.Cons.FixedPerms {
-		rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	}
-	return p
-}
-
-// requiredOuter reports whether a spatial slot outer to position i requires
-// dim — inner slots must then leave residual for it.
-func (s *Space) requiredOuter(dim string, i int) bool {
-	if len(s.Cons.RequireSpatialX)+len(s.Cons.RequireSpatialY) == 0 {
-		return false
-	}
-	for j := 0; j < i; j++ {
-		sl := s.slots[j]
-		if sl.Spatial() && s.Cons.required(sl.Kind, dim) {
-			return true
-		}
-	}
-	return false
-}
-
-// sampleFactor draws one slot factor for residual r. reserve caps the draw
-// so the residual stays above 1 (an outer slot still needs a share).
-//
-//ruby:hotpath
-func (s *Space) sampleFactor(rng *rand.Rand, sl mapping.Slot, dim string, r, budget int, reserve bool, dc *divCache) int {
-	if r == 1 {
-		return 1
-	}
-	max := r
-	if reserve {
-		max = r - 1 // any f < r leaves residual ceil(r/f) >= 2
-	}
-	imperfect := s.Kind.imperfectTemporal()
-	if sl.Spatial() {
-		imperfect = s.Kind.imperfectSpatial()
-		if !s.Cons.allowed(sl.Kind, dim) {
-			return 1
-		}
-		if budget < max {
-			max = budget
-		}
-	} else if s.Cons.MaxTemporalFactor > 0 && s.Cons.MaxTemporalFactor < max {
-		max = s.Cons.MaxTemporalFactor
-	}
-	if max < 1 {
-		max = 1
-	}
-	if sl.Spatial() && s.Cons.required(sl.Kind, dim) && max >= 2 {
-		// Forced spatial allocation: draw from [2, max] (smallest divisor
-		// >= 2 for perfect slots).
-		if imperfect {
-			return 2 + rng.Intn(max-1)
-		}
-		if f := s.divisorGE2LE(rng, r, max, dc); f > 1 {
-			return f
-		}
-		return 1
-	}
-	if imperfect {
-		// Mixture proposal over the imperfect factor set [1, max]. Every
-		// value has nonzero probability (the mapspace's membership is
-		// unchanged), but density concentrates where high-quality mappings
-		// live: exact divisors (the PFM subset, so the superset property
-		// pays off in practice) and the resource-saturating factor max
-		// (Ruby-S's raison d'etre: filling the fanout despite remainders).
-		switch rng.Intn(10) {
-		case 0, 1, 2:
-			return max
-		case 3, 4, 5:
-			return s.cappedDivisor(rng, r, max, dc)
-		default:
-			return 1 + rng.Intn(max)
-		}
-	}
-	return s.cappedDivisor(rng, r, max, dc)
-}
-
-// sortRequiredFirst stably moves dimensions with required spatial
-// allocations to the front of the sampling order, in place (the sampler
-// calls it once per sample; dimension counts are tiny).
-func sortRequiredFirst(dims []string, cons Constraints) {
-	isReq := func(d string) bool {
-		return cons.required(mapping.SpatialX, d) || cons.required(mapping.SpatialY, d)
-	}
-	k := 0
-	for i, d := range dims {
-		if !isReq(d) {
-			continue
-		}
-		copy(dims[k+1:i+1], dims[k:i])
-		dims[k] = d
-		k++
-	}
-}
-
-// divisorGE2LE draws a random divisor of r in [2, max], or 1 when none
-// exists. The divisor list is sorted with 1 first, so the candidates are the
-// cached list's [1, hi) window; the rng draw count and selected values match
-// the pre-cache implementation exactly.
-func (s *Space) divisorGE2LE(rng *rand.Rand, r, max int, dc *divCache) int {
-	divs := s.divisorsFor(r, dc)
-	hi := len(divs)
-	for hi > 0 && divs[hi-1] > max {
-		hi--
-	}
-	if hi <= 1 {
-		return 1
-	}
-	return divs[1+rng.Intn(hi-1)]
-}
-
-// cappedDivisor draws a uniform random divisor of r not exceeding max
-// (falling back to 1, which always divides).
-func (s *Space) cappedDivisor(rng *rand.Rand, r, max int, dc *divCache) int {
-	divs := s.divisorsFor(r, dc)
-	hi := len(divs)
-	for hi > 0 && divs[hi-1] > max {
-		hi--
-	}
-	if hi == 0 {
-		return 1
-	}
-	return divs[rng.Intn(hi)]
 }
 
 // Enumerate yields every mapping in the tiling mapspace with canonical

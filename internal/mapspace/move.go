@@ -75,7 +75,7 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 		copy(mv.oldChain, fs)
 		copy(fs, mv.chain)
 		if dn != nil {
-			dn.SetChainRow(mv.delta.Dim, s.Work.Bound(mv.dim), fs)
+			dn.SetChainRow(mv.delta.Dim, s.Work.Dims[mv.delta.Dim].Bound, fs)
 			m.ResetKey()
 		} else {
 			m.Invalidate()
@@ -149,7 +149,7 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 		fs := m.Factors[mv.dim]
 		copy(fs, mv.oldChain)
 		if dn != nil {
-			dn.SetChainRow(mv.delta.Dim, s.Work.Bound(mv.dim), fs)
+			dn.SetChainRow(mv.delta.Dim, s.Work.Dims[mv.delta.Dim].Bound, fs)
 			m.ResetKey()
 		} else {
 			m.Invalidate()
@@ -279,14 +279,8 @@ func (mu *Mutator) ProposeChainID(rng *rand.Rand, di int) *Move {
 	mv.applied = false
 	mv.delta = mapping.Delta{Kind: mapping.DeltaChain, Dim: di}
 	mv.dim = s.dimNames[di]
-	for i, sl := range s.slots {
-		if sl.Spatial() {
-			mu.budget[i] = sl.Fanout
-		} else {
-			mu.budget[i] = 0
-		}
-	}
-	s.sampleChainInto(rng, mv.dim, mu.budget, mv.chain, mu.dc)
+	copy(mu.budget, s.rt.fanout)
+	s.drawChain(rng, di, mu.budget, mv.chain, mu.dc)
 	return mv
 }
 

@@ -33,13 +33,14 @@ func sampleLowered(t *testing.T, sp *Space, rng *rand.Rand) *mapping.Mapping {
 	return nil
 }
 
-// requireMoveDenseMatchesFresh checks that the in-place-patched lowering and
-// memoized key agree with a from-scratch lowering of the same mapping state.
-func requireMoveDenseMatchesFresh(t *testing.T, sp *Space, m *mapping.Mapping) {
+// requireDenseMatchesFresh checks that the memoized lowering (written by the
+// sampler or patched in place by a move) and the memoized key agree with a
+// from-scratch lowering of the same mapping state.
+func requireDenseMatchesFresh(t *testing.T, sp *Space, m *mapping.Mapping) {
 	t.Helper()
 	dn := m.UpdatableDense(sp.Work, sp.Arch, sp.slots)
 	if dn == nil {
-		t.Fatal("dense memo dropped by a patching move")
+		t.Fatal("dense memo dropped by the sampler or a patching move")
 	}
 	c := m.Clone()
 	fresh, err := c.Dense(sp.Work, sp.Arch, sp.slots)
@@ -48,7 +49,7 @@ func requireMoveDenseMatchesFresh(t *testing.T, sp *Space, m *mapping.Mapping) {
 	}
 	if dn.NDims != fresh.NDims || dn.NSlots != fresh.NSlots ||
 		!reflect.DeepEqual(dn.Cum, fresh.Cum) || !reflect.DeepEqual(dn.Perm, fresh.Perm) {
-		t.Fatal("patched dense lowering diverged from fresh densify")
+		t.Fatal("memoized dense lowering diverged from fresh densify")
 	}
 	if len(dn.KeepMask) != len(fresh.KeepMask) {
 		t.Fatalf("KeepMask = %v, fresh %v", dn.KeepMask, fresh.KeepMask)
@@ -97,7 +98,7 @@ func TestMoveApplyUndoRoundTrip(t *testing.T) {
 		if (m.Keep == nil) != keepNil0 {
 			t.Errorf("%s: Keep nil-ness not restored", name)
 		}
-		requireMoveDenseMatchesFresh(t, sp, m)
+		requireDenseMatchesFresh(t, sp, m)
 	}
 
 	for li := range sp.Arch.Levels {
@@ -125,10 +126,10 @@ func TestMoveApplyPatchesDenseLikeFresh(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		mu.Propose(rng).Apply(m)
 		if i%25 == 0 {
-			requireMoveDenseMatchesFresh(t, sp, m)
+			requireDenseMatchesFresh(t, sp, m)
 		}
 	}
-	requireMoveDenseMatchesFresh(t, sp, m)
+	requireDenseMatchesFresh(t, sp, m)
 }
 
 // TestMoveApplyWithoutDenseInvalidates covers the cold path: a mapping with
@@ -147,7 +148,7 @@ func TestMoveApplyWithoutDenseInvalidates(t *testing.T) {
 	if _, err := m.Dense(sp.Work, sp.Arch, sp.slots); err != nil {
 		t.Fatalf("relowering after cold-path move: %v", err)
 	}
-	requireMoveDenseMatchesFresh(t, sp, m)
+	requireDenseMatchesFresh(t, sp, m)
 }
 
 func TestMoveDoubleApplyPanics(t *testing.T) {

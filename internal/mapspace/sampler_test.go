@@ -65,3 +65,45 @@ func TestSampleIntoPreLowers(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleIntoDenseMatchesDensify is the differential test of the
+// sampler's direct lowering: after every SampleInto the memoized dense form
+// must equal, bit for bit, a fresh densify of a clone of the sampled fields
+// — and so must the in-place patch of every Mutator.ProposeChainID chain
+// applied on top. Every Kind runs under every sampler case.
+func TestSampleIntoDenseMatchesDensify(t *testing.T) {
+	w, a := samplerFixture()
+	const draws = 2000
+	for _, c := range samplerCases {
+		for _, kind := range Kinds {
+			t.Run(c.name+"/"+kind.String(), func(t *testing.T) {
+				sp := New(w, a, kind, c.cons(w))
+				smp, mu := sp.NewSampler(), sp.NewMutator()
+				rng := rand.New(rand.NewSource(int64(kind) + 1))
+				m := &mapping.Mapping{}
+				for i := 0; i < draws; i++ {
+					smp.SampleInto(rng, m)
+					requireDenseMatchesFresh(t, sp, m)
+					mu.ProposeChainID(rng, rng.Intn(mu.NumDims())).Apply(m)
+					requireDenseMatchesFresh(t, sp, m)
+				}
+			})
+		}
+	}
+}
+
+// TestSampleIntoBypassAllocFree pins the steady-state sampler to zero
+// allocations when it explores bypass: the Keep maps, the override slice
+// and the dense keep masks are all reused across draws.
+func TestSampleIntoBypassAllocFree(t *testing.T) {
+	w, a := samplerFixture()
+	cons := EyerissRowStationary(w)
+	cons.ExploreBypass = true
+	smp := New(w, a, RubyS, cons).NewSampler()
+	rng := rand.New(rand.NewSource(3))
+	m := &mapping.Mapping{}
+	smp.SampleInto(rng, m) // first draw shapes m's storage
+	if n := testing.AllocsPerRun(200, func() { smp.SampleInto(rng, m) }); n != 0 {
+		t.Fatalf("SampleInto under ExploreBypass allocates %v times per draw", n)
+	}
+}
