@@ -253,9 +253,18 @@ func CountChains(d int, slots []ChainSlot) uint64 {
 // EnumerateChains calls yield for every factor tuple counted by CountChains,
 // innermost slot first. The slice passed to yield is reused; copy to retain.
 // Enumeration stops early when yield returns false.
-func EnumerateChains(d int, slots []ChainSlot, yield func(factors []int) bool) {
+//
+// divisors supplies the ascending divisor list of each residual a perfect
+// slot splits; nil selects Divisors. Callers that enumerate many chains over
+// the same bounds pass a memoized source (a mapspace's shared cache) so the
+// recursion does not recompute and reallocate the list at every node. The
+// source's slices are only read.
+func EnumerateChains(d int, slots []ChainSlot, divisors func(n int) []int, yield func(factors []int) bool) {
 	if d < 1 {
 		panic(fmt.Sprintf("factor: EnumerateChains dimension %d", d))
+	}
+	if divisors == nil {
+		divisors = Divisors
 	}
 	buf := make([]int, len(slots))
 	var rec func(r, i int) bool
@@ -273,7 +282,7 @@ func EnumerateChains(d int, slots []ChainSlot, yield func(factors []int) bool) {
 		s := slots[i]
 		switch s.Kind {
 		case Perfect:
-			for _, f := range Divisors(r) {
+			for _, f := range divisors(r) {
 				if s.Max > 0 && f > s.Max {
 					continue
 				}

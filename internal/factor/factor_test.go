@@ -254,7 +254,7 @@ func TestEnumerateChainsMatchesCountAndValidates(t *testing.T) {
 		for _, d := range []int{1, 5, 12, 28} {
 			var got uint64
 			seen := make(map[string]bool)
-			EnumerateChains(d, slots, func(fs []int) bool {
+			EnumerateChains(d, slots, nil, func(fs []int) bool {
 				if err := ValidateChain(d, slots, fs); err != nil {
 					t.Fatalf("EnumerateChains(%d, %v) yielded invalid %v: %v", d, slots, fs, err)
 				}
@@ -273,6 +273,46 @@ func TestEnumerateChainsMatchesCountAndValidates(t *testing.T) {
 				t.Errorf("EnumerateChains(%d, %v) yielded %d, want %d", d, slots, got, want)
 			}
 		}
+	}
+}
+
+// TestEnumerateChainsDivisorSource checks that a memoized divisor source
+// yields exactly the chains, in exactly the order, of the default source,
+// and that the source is consulted for the perfect slots' residuals.
+func TestEnumerateChainsDivisorSource(t *testing.T) {
+	slots := []ChainSlot{{Kind: Imperfect, Max: 9}, {Kind: Perfect}, {Kind: Perfect, Max: 4}, {Kind: Perfect}}
+	memo := map[int][]int{}
+	calls := 0
+	source := func(n int) []int {
+		calls++
+		if ds, ok := memo[n]; ok {
+			return ds
+		}
+		ds := Divisors(n)
+		memo[n] = ds
+		return ds
+	}
+	for _, d := range []int{1, 7, 12, 28, 56} {
+		var want, got []int
+		EnumerateChains(d, slots, nil, func(fs []int) bool {
+			want = append(want, fs...)
+			return true
+		})
+		EnumerateChains(d, slots, source, func(fs []int) bool {
+			got = append(got, fs...)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("d=%d: memoized source yielded %d factors, default %d", d, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("d=%d: chains diverge at factor %d: %d vs %d", d, i, got[i], want[i])
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("the divisor source was never consulted")
 	}
 }
 

@@ -34,7 +34,7 @@ func FuzzFactorChains(f *testing.F) {
 			t.Skip("mapspace too large for exhaustive enumeration")
 		}
 		var got uint64
-		EnumerateChains(d, slots, func(factors []int) bool {
+		EnumerateChains(d, slots, nil, func(factors []int) bool {
 			got++
 			if err := ValidateChain(d, slots, factors); err != nil {
 				t.Fatalf("enumerated chain %v invalid: %v", factors, err)

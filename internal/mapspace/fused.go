@@ -135,9 +135,9 @@ func (s *Space) enumerateFusedChains(dim string, advance int, yield func(fs []in
 		if !s.fusedExtentOK(e, b) {
 			continue
 		}
-		factor.EnumerateChains(e, inner, func(ifs []int) bool {
+		factor.EnumerateChains(e, inner, s.divisors, func(ifs []int) bool {
 			copy(buf[:n-s.fuseSlot], ifs)
-			factor.EnumerateChains(factor.CeilDiv(b, e), outer, func(ofs []int) bool {
+			factor.EnumerateChains(factor.CeilDiv(b, e), outer, s.divisors, func(ofs []int) bool {
 				copy(buf[n-s.fuseSlot:], ofs)
 				cont = yield(buf)
 				return cont

@@ -297,13 +297,44 @@ func (s *Space) ChainCount(dim string) uint64 {
 }
 
 // enumerateChains yields dimension d's chains innermost-first, routing fused
-// dimensions through their constrained enumeration.
+// dimensions through their constrained enumeration. Divisor lists come from
+// the space's shared cache.
 func (s *Space) enumerateChains(d string, yield func(fs []int) bool) {
 	if a, ok := s.fusedAdvance(d); ok {
 		s.enumerateFusedChains(d, a, yield)
 		return
 	}
-	factor.EnumerateChains(s.Work.Bound(d), s.chainSlots(d), yield)
+	factor.EnumerateChains(s.Work.Bound(d), s.chainSlots(d), s.divisors, yield)
+}
+
+// AppendChains appends every tiling chain of dimension di (declaration
+// order) to dst, each outermost-first (the Mapping.Factors layout) and
+// flattened with stride len(Slots()), in the order EnumerateChains visits
+// them, and returns the extended slice. Sized with CountChainsUpTo, dst
+// never grows.
+func (s *Space) AppendChains(dst []int, di int) []int {
+	ns := len(s.slots)
+	s.enumerateChains(s.dimNames[di], func(fs []int) bool {
+		// fs is innermost-first; append outermost-first.
+		for i := ns - 1; i >= 0; i-- {
+			dst = append(dst, fs[i])
+		}
+		return true
+	})
+	return dst
+}
+
+// CountChainsUpTo returns min(ChainCount, limit) for dimension di
+// (declaration order) by enumerating at most limit chains — a limit of
+// cap+1 decides "at most cap chains" without counting a large chain space
+// in full, and without ChainCount's memo table.
+func (s *Space) CountChainsUpTo(di, limit int) int {
+	n := 0
+	s.enumerateChains(s.dimNames[di], func([]int) bool {
+		n++
+		return n < limit
+	})
+	return n
 }
 
 // EnumerateChains yields every tiling chain available to the named dimension
@@ -412,17 +443,16 @@ type Enumerator struct {
 // NewEnumerator builds an enumerator positioned at the first mapping.
 func (s *Space) NewEnumerator() *Enumerator {
 	dims := s.Work.DimNames()
+	ns := len(s.slots)
 	chains := make([][][]int, len(dims))
-	for di, d := range dims {
-		s.enumerateChains(d, func(fs []int) bool {
-			// fs is innermost-first; store outermost-first.
-			rev := make([]int, len(fs))
-			for i, f := range fs {
-				rev[len(fs)-1-i] = f
-			}
-			chains[di] = append(chains[di], rev)
-			return true
-		})
+	for di := range dims {
+		// One flat buffer per dimension; each chain is a capacity-capped
+		// window of it, so a caller appending to one cannot clobber the next.
+		flat := s.AppendChains(nil, di)
+		chains[di] = make([][]int, len(flat)/ns)
+		for ci := range chains[di] {
+			chains[di][ci] = flat[ci*ns : (ci+1)*ns : (ci+1)*ns]
+		}
 	}
 	e := &Enumerator{
 		sp:     s,

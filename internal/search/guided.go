@@ -30,7 +30,8 @@ const (
 	// Dimensions whose whole chain space is at most this large are scanned
 	// exhaustively per sweep (exact coordinate descent, FactorFlow-style)
 	// instead of by random candidate draws. The lists are precomputed at
-	// construction, so the scan itself stays allocation-free.
+	// construction by one enumeration capped at guidedExactChainCap+1
+	// chains, so the scan itself stays allocation-free.
 	guidedExactChainCap = 256
 	// Loop-order candidates per level per sweep (skipped under FixedPerms,
 	// where the only legal order is the canonical one).
@@ -127,12 +128,20 @@ type GuidedSearcher struct {
 	rng *checkpoint.RNG
 	rnd *rand.Rand
 	wk  *engine.Worker
-	smp *mapspace.Sampler
+	smp *mapspace.Sampler // built on the first random batch (see sampler)
 	mut *mapspace.Mutator
 	dw  *engine.Delta
 	bd  *nest.Breakdown
 	m   *mapping.Mapping // reused fallback-sample buffer
 	gm  engine.GuidedMetrics
+
+	// seedM is the reused constructive-seed mapping (see resetSeed);
+	// dramSlot is the DRAM temporal slot the all-at-DRAM seed fills;
+	// seedAssign/seedUsed are the spatial seeds' dim-to-slot bookkeeping.
+	seedM      *mapping.Mapping
+	dramSlot   int
+	seedAssign []int
+	seedUsed   []bool
 
 	cur        *mapping.Mapping // working mapping, mutated in place
 	curVal     float64          // objective value of cur
@@ -143,8 +152,10 @@ type GuidedSearcher struct {
 	dimScore    []float64
 	dimOrder    []int
 	dimNames    []string
-	exactChains [][][]int // per dim; nil selects random candidate draws
-	spatialIdx  []int     // spatial slot indices, widest fanout first
+	nslots      int
+	exactChains [][]int // per dim, flat with stride nslots; nil selects random candidate draws
+	spatialIdx  []int   // spatial slot indices, widest fanout first
+	rowFS       [][]int // rescue scratch: per dim, cur's factor slice
 	win         guidedWinner
 	winFound    bool
 
@@ -167,9 +178,7 @@ func NewGuided(sp *mapspace.Space, eng *engine.Engine, opt Options) *GuidedSearc
 	s := &GuidedSearcher{
 		sp: sp, eng: eng, opt: opt,
 		rng: checkpoint.NewRNG(opt.Seed),
-		wk:  eng.NewWorker(), smp: sp.NewSampler(),
-		mut: sp.NewMutator(), dw: eng.NewDelta(),
-		m:   &mapping.Mapping{},
+		wk:  eng.NewWorker(), mut: sp.NewMutator(), dw: eng.NewDelta(),
 		res: &Result{}, phase: guidedPhaseSeed, start: time.Now(),
 	}
 	s.rnd = rand.New(s.rng)
@@ -179,15 +188,17 @@ func NewGuided(sp *mapspace.Space, eng *engine.Engine, opt Options) *GuidedSearc
 	s.dimScore = make([]float64, nd)
 	s.dimOrder = make([]int, nd)
 	s.dimNames = sp.Work.DimNames()
-	s.exactChains = make([][][]int, nd)
-	for di, d := range s.dimNames {
-		if sp.ChainCount(d) > guidedExactChainCap {
-			continue
+	s.nslots = len(sp.Slots())
+	s.dramSlot = mapping.FirstSlotOfLevel(sp.Slots(), 0)
+	s.rowFS = make([][]int, nd)
+	// A capped enumeration decides which dims are scanned exactly (reaching
+	// one chain past the cap means the chain space is too big); the kept
+	// lists are then enumerated into one exactly-sized flat buffer each.
+	s.exactChains = make([][]int, nd)
+	for di := range s.dimNames {
+		if n := sp.CountChainsUpTo(di, guidedExactChainCap+1); n <= guidedExactChainCap {
+			s.exactChains[di] = sp.AppendChains(make([]int, 0, n*s.nslots), di)
 		}
-		sp.EnumerateChains(d, func(fs []int) bool {
-			s.exactChains[di] = append(s.exactChains[di], append([]int(nil), fs...))
-			return true
-		})
 	}
 	for _, sl := range sp.Slots() {
 		if sl.Spatial() {
@@ -203,7 +214,27 @@ func NewGuided(sp *mapspace.Space, eng *engine.Engine, opt Options) *GuidedSearc
 		}
 		s.spatialIdx[j+1] = si
 	}
+	s.seedAssign, s.seedUsed = make([]int, len(s.spatialIdx)), make([]bool, nd)
 	return s
+}
+
+// exactChain returns chain ci of dim d's precomputed exact list.
+//
+//ruby:hotpath
+func (s *GuidedSearcher) exactChain(d, ci int) []int {
+	return s.exactChains[d][ci*s.nslots : (ci+1)*s.nslots]
+}
+
+// sampler returns the searcher's random sampler and fallback-sample buffer,
+// building them on first use: only the invalid-seed fallback and the
+// diversification restarts draw random samples, and most guided searches
+// reach neither, so the sampler's residual-indexed divisor table is not
+// paid for up front.
+func (s *GuidedSearcher) sampler() (*mapspace.Sampler, *mapping.Mapping) {
+	if s.smp == nil {
+		s.smp, s.m = s.sp.NewSampler(), &mapping.Mapping{}
+	}
+	return s.smp, s.m
 }
 
 // Guided runs the model-guided greedy mapper to completion and returns the
@@ -274,15 +305,7 @@ func (s *GuidedSearcher) stepSeed(met engine.Metrics) (bool, error) {
 				s.res.Trace = append(s.res.Trace, TracePoint{Evals: 0, Value: s.opt.Objective.Value(&c)})
 			}
 		}
-		if s.budgetLeft() {
-			seed := mapping.Uniform(s.sp.Work, s.sp.Arch, 0)
-			s.res.Evaluated++
-			c := s.wk.Evaluate(seed)
-			if c.Valid {
-				s.res.Valid++
-				s.considerBest(seed, &c, met)
-			}
-		}
+		s.evalSeed(s.resetSeed(), met)
 		s.spatialSeeds(met)
 		if s.res.Best != nil {
 			s.enterSweep()
@@ -295,16 +318,17 @@ func (s *GuidedSearcher) stepSeed(met engine.Metrics) (bool, error) {
 	}
 	// The constructive seed was invalid for this space (constraints, exotic
 	// fanout): fall back to random sampling for a foothold.
+	smp, m := s.sampler()
 	for i := 0; i < guidedSeedBatch; i++ {
 		if !s.budgetLeft() {
 			return s.finish(met), nil
 		}
 		s.res.Evaluated++
-		s.smp.SampleInto(s.rnd, s.m)
-		c := s.wk.Evaluate(s.m)
+		smp.SampleInto(s.rnd, m)
+		c := s.wk.EvaluateShared(m)
 		if c.Valid {
 			s.res.Valid++
-			s.considerBest(s.m, &c, met)
+			s.considerBest(m, &c, met)
 			s.enterSweep()
 			return false, nil
 		}
@@ -320,13 +344,20 @@ func (s *GuidedSearcher) stepSeed(met engine.Metrics) (bool, error) {
 // swapping two dims across a saturated fanout needs two simultaneous chain
 // moves the descent cannot make — so it is settled here by construction.
 // Draw-free and deterministic; every evaluation is counted.
+//
+// Every seed is built in the searcher's reused seed mapping and priced on
+// the worker's shared scratch, and the assignment bookkeeping is searcher
+// scratch, so the pass allocates nothing beyond the clone of an improving
+// seed.
+//
+//ruby:hotpath
 func (s *GuidedSearcher) spatialSeeds(met engine.Metrics) {
 	ns, nd := len(s.spatialIdx), len(s.dimNames)
 	if ns == 0 {
 		return
 	}
-	assign := make([]int, ns)
-	used := make([]bool, nd)
+	assign, used := s.seedAssign, s.seedUsed
+	clear(used)
 	count := 1
 	for k := 0; k < ns && k < nd; k++ {
 		count *= nd - k
@@ -367,6 +398,8 @@ func (s *GuidedSearcher) spatialSeeds(met engine.Metrics) {
 
 // enumSpatialSeeds recursively evaluates every injective assignment of dims
 // to the spatial slots from position k on.
+//
+//ruby:hotpath
 func (s *GuidedSearcher) enumSpatialSeeds(assign []int, used []bool, k int, met engine.Metrics) {
 	if k == len(assign) {
 		s.evalSeed(s.buildSpatialSeed(assign), met)
@@ -394,11 +427,39 @@ func (s *GuidedSearcher) enumSpatialSeeds(assign []int, used []bool, k int, met 
 	}
 }
 
-// buildSpatialSeed constructs the all-at-DRAM mapping with assign's dims
-// spatialized: assign[k] is the dim occupying spatial slot s.spatialIdx[k]
-// (-1 leaves it empty), factored by its largest divisor fitting the fanout.
+// resetSeed returns the searcher's seed mapping reset to the all-at-DRAM
+// mapping (mapping.Uniform level 0) with its lowering dropped, so the next
+// evaluation relowers it into the recycled dense storage. Only the factors
+// change between seeds: the loop orders stay canonical and Keep stays nil.
+//
+//ruby:hotpath
+func (s *GuidedSearcher) resetSeed() *mapping.Mapping {
+	m := s.seedM
+	if m == nil {
+		m = mapping.Uniform(s.sp.Work, s.sp.Arch, 0) // once per search; reset in place after
+		s.seedM = m
+		return m
+	}
+	for di := range s.sp.Work.Dims {
+		d := &s.sp.Work.Dims[di]
+		fs := m.Factors[d.Name]
+		for i := range fs {
+			fs[i] = 1
+		}
+		fs[s.dramSlot] = d.Bound
+	}
+	m.Invalidate()
+	return m
+}
+
+// buildSpatialSeed constructs, in the reused seed mapping, the all-at-DRAM
+// mapping with assign's dims spatialized: assign[k] is the dim occupying
+// spatial slot s.spatialIdx[k] (-1 leaves it empty), factored by its
+// largest divisor fitting the fanout.
+//
+//ruby:hotpath
 func (s *GuidedSearcher) buildSpatialSeed(assign []int) *mapping.Mapping {
-	m := mapping.Uniform(s.sp.Work, s.sp.Arch, 0)
+	m := s.resetSeed()
 	slots := s.sp.Slots()
 	for k, di := range assign {
 		if di < 0 {
@@ -417,13 +478,16 @@ func (s *GuidedSearcher) buildSpatialSeed(assign []int) *mapping.Mapping {
 	return m
 }
 
-// evalSeed scores one constructive seed (counted), feeding the incumbent.
+// evalSeed scores one constructive seed (counted) on the worker's shared
+// scratch, feeding the incumbent (which clones what it keeps).
+//
+//ruby:hotpath
 func (s *GuidedSearcher) evalSeed(m *mapping.Mapping, met engine.Metrics) (float64, bool) {
 	if !s.budgetLeft() {
 		return 0, false
 	}
 	s.res.Evaluated++
-	c := s.wk.Evaluate(m)
+	c := s.wk.EvaluateShared(m)
 	if !c.Valid {
 		return 0, false
 	}
@@ -505,9 +569,26 @@ func (s *GuidedSearcher) stepSweep(met engine.Metrics) (bool, error) {
 // patching both chains at once (the displaced iterations return to DRAM) and
 // evaluating the joint candidate in full. The best improving candidate
 // becomes the working mapping and descent continues; draw-free, every
-// evaluation counted. Cold path: runs only when a sweep stalls.
+// evaluation counted. Runs only when a sweep stalls.
+//
+// Candidates are priced in place: both chains of the working mapping and
+// their rows of its memoized dense lowering are patched, evaluated on the
+// worker's scratch and restored, and only the winner's (slot, pair,
+// factors) is kept and applied once at the end. When the budget runs out
+// mid-rescue the working mapping is left as it was.
+//
+//ruby:hotpath
 func (s *GuidedSearcher) spatialRescue(met engine.Metrics) (bool, bool, error) {
-	var bestM *mapping.Mapping
+	w := s.sp.Work
+	dn, err := s.cur.Dense(w, s.sp.Arch, s.sp.Slots())
+	if err != nil {
+		return false, false, fmt.Errorf("search: guided working mapping does not lower: %w", err)
+	}
+	for di, d := range s.dimNames {
+		s.rowFS[di] = s.cur.Factors[d]
+	}
+	found := false
+	var winSI, winA, winB, winFA, winFB int
 	bestV := s.curVal
 	slots := s.sp.Slots()
 	nd := len(s.dimNames)
@@ -518,24 +599,23 @@ func (s *GuidedSearcher) spatialRescue(met engine.Metrics) (bool, bool, error) {
 				others := 1
 				for di := 0; di < nd; di++ {
 					if di != a && di != b {
-						others *= s.cur.Factors[s.dimNames[di]][si]
+						others *= s.rowFS[di][si]
 					}
 				}
 				if others > fanout {
 					continue
 				}
 				budget := fanout / others
-				da, db := s.dimNames[a], s.dimNames[b]
-				restA := chainRest(s.cur.Factors[da], si)
-				restB := chainRest(s.cur.Factors[db], si)
-				ba, bb := s.sp.Work.Bound(da), s.sp.Work.Bound(db)
+				fsA, fsB := s.rowFS[a], s.rowFS[b]
+				restA, restB := chainRest(fsA, si), chainRest(fsB, si)
+				ba, bb := w.Dims[a].Bound, w.Dims[b].Bound
 				if restA <= 0 || restB <= 0 || ba%restA != 0 || bb%restB != 0 {
 					// The pair's chains are imperfect outside this slot; the
 					// rescue only rebuilds perfect splits.
 					continue
 				}
 				maxA, maxB := ba/restA, bb/restB
-				curA, curB := s.cur.Factors[da][si], s.cur.Factors[db][si]
+				curA0, curA, curB0, curB := fsA[0], fsA[si], fsB[0], fsB[si]
 				for fa := 1; fa <= maxA && fa <= budget; fa++ {
 					if maxA%fa != 0 {
 						continue
@@ -545,30 +625,63 @@ func (s *GuidedSearcher) spatialRescue(met engine.Metrics) (bool, bool, error) {
 							continue
 						}
 						if !s.budgetLeft() {
-							return bestM != nil, true, nil
+							return found, true, nil
 						}
-						cand := s.cur.Clone()
-						fsA, fsB := cand.Factors[da], cand.Factors[db]
 						fsA[si], fsA[0] = fa, maxA/fa
 						fsB[si], fsB[0] = fb, maxB/fb
-						if v, ok := s.evalSeed(cand, met); ok && v < bestV {
-							bestM, bestV = cand, v
+						v, ok := s.evalPatched(dn, a, b, met)
+						fsA[si], fsA[0] = curA, curA0
+						fsB[si], fsB[0] = curB, curB0
+						dn.SetChainRow(a, ba, fsA)
+						dn.SetChainRow(b, bb, fsB)
+						s.cur.ResetKey()
+						if ok && v < bestV {
+							found, bestV = true, v
+							winSI, winA, winB, winFA, winFB = si, a, b, fa, fb
 						}
 					}
 				}
 			}
 		}
 	}
-	if bestM == nil {
+	if !found {
 		return false, false, nil
 	}
-	s.cur = bestM
+	fsA, fsB := s.rowFS[winA], s.rowFS[winB]
+	ba, bb := w.Dims[winA].Bound, w.Dims[winB].Bound
+	maxA, maxB := ba/chainRest(fsA, winSI), bb/chainRest(fsB, winSI)
+	fsA[winSI], fsA[0] = winFA, maxA/winFA
+	fsB[winSI], fsB[0] = winFB, maxB/winFB
+	dn.SetChainRow(winA, ba, fsA)
+	dn.SetChainRow(winB, bb, fsB)
+	s.cur.ResetKey()
 	c := s.dw.Seed(s.cur)
 	if !c.Valid {
 		return false, false, errors.New("search: guided rescue mapping no longer validates")
 	}
 	s.curVal = s.opt.Objective.Value(&c)
 	return true, false, nil
+}
+
+// evalPatched scores the working mapping after the rescue patched the
+// factor chains of dims a and b (counted), relowering just those two rows
+// of its dense form dn under densify's structural checks. A structurally
+// faulty candidate counts as an invalid evaluation without reaching the
+// kernel. An improving candidate is cloned into the incumbent while the
+// patch is still in place.
+//
+//ruby:hotpath
+func (s *GuidedSearcher) evalPatched(dn *mapping.Dense, a, b int, met engine.Metrics) (float64, bool) {
+	w := s.sp.Work
+	okA := dn.SetChainRowChecked(a, w.Dims[a].Bound, s.rowFS[a])
+	okB := dn.SetChainRowChecked(b, w.Dims[b].Bound, s.rowFS[b])
+	s.cur.ResetKey()
+	if !okA || !okB {
+		s.res.Evaluated++
+		met.Evaluation(false, false)
+		return 0, false
+	}
+	return s.evalSeed(s.cur, met)
 }
 
 // chainRest is the product of a chain's factors outside the DRAM slot (0)
@@ -635,15 +748,16 @@ func (s *GuidedSearcher) scan(met engine.Metrics) (bool, bool, error) {
 		best := s.curVal
 		if chains := s.exactChains[d]; chains != nil {
 			curChain := s.cur.Factors[s.dimNames[d]]
-			for ci := range chains {
-				if sameChain(chains[ci], curChain) {
+			for ci, n := 0, len(chains)/s.nslots; ci < n; ci++ {
+				chain := s.exactChain(d, ci)
+				if sameChain(chain, curChain) {
 					continue
 				}
 				if !s.budgetLeft() {
 					return improved, true, nil
 				}
 				pre := *s.rng
-				mv := s.mut.ProposeChainSet(d, chains[ci])
+				mv := s.mut.ProposeChainSet(d, chain)
 				s.tryCandidate(mv, guidedKindChainExact, d, ci, pre, &best, met)
 			}
 		} else {
@@ -775,7 +889,7 @@ func (s *GuidedSearcher) commitWinner(met engine.Metrics) error {
 	case guidedKindChain:
 		mv = s.mut.ProposeChainID(s.rnd, s.win.arg)
 	case guidedKindChainExact:
-		mv = s.mut.ProposeChainSet(s.win.arg, s.exactChains[s.win.arg][s.win.arg2])
+		mv = s.mut.ProposeChainSet(s.win.arg, s.exactChain(s.win.arg, s.win.arg2))
 	case guidedKindPerm:
 		mv = s.mut.ProposePerm(s.rnd, s.win.arg)
 	default:
@@ -820,20 +934,21 @@ func (s *GuidedSearcher) restart(met engine.Metrics) (bool, error) {
 		// again.
 		var bestM *mapping.Mapping
 		var bestV float64
+		smp, m := s.sampler()
 		for i := 0; i < guidedSeedBatch; i++ {
 			if !s.budgetLeft() {
 				break
 			}
 			s.res.Evaluated++
-			s.smp.SampleInto(s.rnd, s.m)
-			c := s.wk.Evaluate(s.m)
+			smp.SampleInto(s.rnd, m)
+			c := s.wk.EvaluateShared(m)
 			if !c.Valid {
 				continue
 			}
 			s.res.Valid++
-			s.considerBest(s.m, &c, met)
+			s.considerBest(m, &c, met)
 			if v := s.opt.Objective.Value(&c); bestM == nil || v < bestV {
-				bestM, bestV = s.m.Clone(), v
+				bestM, bestV = m.Clone(), v
 			}
 		}
 		if !s.budgetLeft() {

@@ -2,11 +2,13 @@ package search
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"ruby/internal/arch"
 	"ruby/internal/checkpoint"
 	"ruby/internal/engine"
+	"ruby/internal/mapping"
 	"ruby/internal/mapspace"
 	"ruby/internal/nest"
 	"ruby/internal/workload"
@@ -122,24 +124,170 @@ func TestGuidedInnerLoopAllocFree(t *testing.T) {
 	}
 
 	met := eng.Metrics()
-	chains := s.exactChains[0]
-	if len(chains) < 2 {
-		t.Fatal("expected a precomputed chain list for dim 0")
+	n := len(s.exactChains[0]) / s.nslots
+	if n < 2 || len(s.exactChains[0]) != n*s.nslots {
+		t.Fatalf("expected a precomputed flat chain list for dim 0, got %d entries for %d slots",
+			len(s.exactChains[0]), s.nslots)
 	}
 	// best=0 keeps every candidate non-improving (EDP is positive), so the
 	// measured path is propose + delta-evaluate + reject + undo only.
 	best := 0.0
 	ci := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		if sameChain(chains[ci], s.cur.Factors[s.dimNames[0]]) {
-			ci = (ci + 1) % len(chains)
+		if sameChain(s.exactChain(0, ci), s.cur.Factors[s.dimNames[0]]) {
+			ci = (ci + 1) % n
 		}
 		var pre checkpoint.RNG
-		mv := s.mut.ProposeChainSet(0, chains[ci])
+		mv := s.mut.ProposeChainSet(0, s.exactChain(0, ci))
 		s.tryCandidate(mv, guidedKindChainExact, 0, ci, pre, &best, met)
-		ci = (ci + 1) % len(chains)
+		ci = (ci + 1) % n
 	})
 	if allocs != 0 {
 		t.Errorf("guided candidate evaluation allocates %v times per op; want 0", allocs)
+	}
+}
+
+// stalledGuided drives a guided search on sp into the sweep phase with a
+// seeded working mapping, then stalls it: the incumbent's and the working
+// mapping's objective values are set to 0, which no candidate (EDP is
+// positive) beats, so nothing is cloned into the incumbent or committed and
+// the measured path is build + price + restore only.
+func stalledGuided(t *testing.T, sp *mapspace.Space) (*GuidedSearcher, engine.Metrics) {
+	t.Helper()
+	eng := engine.New(nest.MustEvaluator(sp.Work, sp.Arch))
+	s := NewGuided(sp, eng, Options{Seed: 1, MaxEvaluations: 1 << 40})
+	for s.phase != guidedPhaseSweep {
+		if done, err := s.Step(context.Background()); done || err != nil {
+			t.Fatalf("searcher ended before reaching the sweep phase (done=%v err=%v)", done, err)
+		}
+	}
+	s.cur = s.res.Best.Clone()
+	if c := s.dw.Seed(s.cur); !c.Valid {
+		t.Fatal("working mapping does not validate")
+	}
+	s.sweepReady = true
+	s.curVal = 0
+	s.res.BestCost = nest.Cost{Valid: true}
+	return s, eng.Metrics()
+}
+
+// TestGuidedSeedsAllocFree pins the constructive seed pass as
+// allocation-free: every spatially-saturating seed is rebuilt in the
+// searcher's one seed mapping, relowered into its recycled dense storage
+// and priced on the worker's scratch.
+func TestGuidedSeedsAllocFree(t *testing.T) {
+	for _, tc := range guidedPins() {
+		sp := mapspace.New(tc.w, tc.a, mapspace.RubyS, mapspace.Constraints{FixedPerms: true})
+		s, met := stalledGuided(t, sp)
+		before := s.res.Evaluated
+		allocs := testing.AllocsPerRun(20, func() { s.spatialSeeds(met) })
+		if s.res.Evaluated == before {
+			t.Fatalf("%s: the seed pass evaluated nothing", tc.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: the spatial seed pass allocates %v times per run; want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestGuidedRescueAllocFree pins the spatial rescue as allocation-free:
+// candidates patch the working mapping's chains and dense rows in place, are
+// priced on the worker's scratch and restored. It also checks the restore:
+// after a rescue that finds no winner the working mapping, its key and its
+// memoized lowering equal what they were.
+func TestGuidedRescueAllocFree(t *testing.T) {
+	for _, tc := range guidedPins() {
+		sp := mapspace.New(tc.w, tc.a, mapspace.RubyS, mapspace.Constraints{FixedPerms: true})
+		s, met := stalledGuided(t, sp)
+		want, err := s.cur.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.res.Evaluated
+		var ok, spent bool
+		allocs := testing.AllocsPerRun(20, func() {
+			ok, spent, err = s.spatialRescue(met)
+		})
+		if err != nil || ok || spent {
+			t.Fatalf("%s: stalled rescue returned ok=%v spent=%v err=%v", tc.name, ok, spent, err)
+		}
+		if s.res.Evaluated == before {
+			t.Fatalf("%s: the rescue priced no candidate", tc.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: the spatial rescue allocates %v times per run; want 0", tc.name, allocs)
+		}
+		got, err := s.cur.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: the rescue left the working mapping changed:\n%s\nwant\n%s", tc.name, got, want)
+		}
+		requireGuidedDenseFresh(t, sp, s.cur)
+	}
+}
+
+// requireGuidedDenseFresh fails unless m's memoized lowering and key equal
+// those of a fresh clone.
+func requireGuidedDenseFresh(t *testing.T, sp *mapspace.Space, m *mapping.Mapping) {
+	t.Helper()
+	dn := m.UpdatableDense(sp.Work, sp.Arch, sp.Slots())
+	if dn == nil {
+		t.Fatal("the working mapping lost its lowering")
+	}
+	c := m.Clone()
+	fresh, err := c.Dense(sp.Work, sp.Arch, sp.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dn.Cum, fresh.Cum) || !reflect.DeepEqual(dn.Perm, fresh.Perm) ||
+		!reflect.DeepEqual(dn.KeepMask, fresh.KeepMask) {
+		t.Fatal("the working mapping's lowering diverged from a fresh densify")
+	}
+	if got, want := m.Key(sp.Work, sp.Slots()), c.Key(sp.Work, sp.Slots()); got != want {
+		t.Fatalf("working mapping key %q, fresh clone key %q", got, want)
+	}
+}
+
+// TestGuidedExactChainLists checks the exact-scan decision and lists on
+// every dim of the golden spaces: the capped enumeration counts
+// min(ChainCount, cap+1), a dim is scanned exactly iff its chain space is
+// at most the cap, and its flat list holds exactly the chains
+// Space.EnumerateChains visits, in order.
+func TestGuidedExactChainLists(t *testing.T) {
+	for _, gs := range guidedSpaces() {
+		sp := gs.build()
+		s := NewGuided(sp, engine.New(nest.MustEvaluator(sp.Work, sp.Arch)), Options{Seed: 1})
+		for di, d := range sp.Work.DimNames() {
+			total := sp.ChainCount(d)
+			want := total
+			if want > guidedExactChainCap+1 {
+				want = guidedExactChainCap + 1
+			}
+			if got := sp.CountChainsUpTo(di, guidedExactChainCap+1); uint64(got) != want {
+				t.Errorf("%s dim %s: capped count %d, want min(%d, %d)", gs.name, d, got, total, guidedExactChainCap+1)
+			}
+			list := s.exactChains[di]
+			if (list != nil) != (total <= guidedExactChainCap) {
+				t.Errorf("%s dim %s: %d chains, exact list present=%v", gs.name, d, total, list != nil)
+				continue
+			}
+			if list == nil {
+				continue
+			}
+			if len(list) != int(total)*s.nslots || cap(list) != len(list) {
+				t.Errorf("%s dim %s: flat list len %d cap %d, want exactly %d", gs.name, d, len(list), cap(list), int(total)*s.nslots)
+			}
+			ci := 0
+			sp.EnumerateChains(d, func(fs []int) bool {
+				if !sameChain(s.exactChain(di, ci), fs) {
+					t.Errorf("%s dim %s: chain %d = %v, want %v", gs.name, d, ci, s.exactChain(di, ci), fs)
+					return false
+				}
+				ci++
+				return true
+			})
+		}
 	}
 }

@@ -222,12 +222,15 @@ func (s *service) resolveJobSearch(name string) (string, error) {
 }
 
 // submit registers and starts a new job; the request's algorithm has been
-// resolved and validated by the handler.
-func (jm *jobManager) submit(req searchRequest) (*jobRecord, error) {
+// resolved and validated by the handler. It returns the job's ID and its
+// status as of submission, both read under jm.mu: once the job goroutine
+// starts, its finish writes the record's status, so callers must not read
+// the record itself.
+func (jm *jobManager) submit(req searchRequest) (id, status string, err error) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	if jm.draining {
-		return nil, errors.New("server: shutting down")
+		return "", "", errors.New("server: shutting down")
 	}
 	rec := &jobRecord{
 		ID:          fmt.Sprintf("j%04d", jm.nextID),
@@ -239,10 +242,10 @@ func (jm *jobManager) submit(req searchRequest) (*jobRecord, error) {
 	jm.jobs[rec.ID] = rec
 	if err := jm.persistLocked(rec); err != nil {
 		delete(jm.jobs, rec.ID)
-		return nil, err
+		return "", "", err
 	}
 	jm.startLocked(rec)
-	return rec, nil
+	return rec.ID, rec.Status, nil
 }
 
 // startLocked launches the worker goroutine; jm.mu must be held.
@@ -449,12 +452,12 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Search = algo
-	rec, err := s.jobs.submit(req)
+	id, status, err := s.jobs.submit(req)
 	if err != nil {
 		writeErr(w, CodeUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": rec.ID, "status": rec.Status})
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": status})
 }
 
 func (s *service) handleJobList(w http.ResponseWriter, _ *http.Request) {

@@ -12,6 +12,8 @@
 // the form Name:metric instead compares the named custom b.ReportMetric
 // value (e.g. BenchmarkGuidedConverge:convergence_evals) under the same
 // tolerance — how the guided mapper's evals-to-convergence is held flat.
+// The metric may also be allocs/op, gating the benchmark's allocation count
+// under the tolerance (BenchmarkGuidedConverge:allocs/op).
 package main
 
 import (
@@ -151,9 +153,10 @@ func loadBaseline(path string) (map[string]Entry, error) {
 // missing from either side fails (a silently vanished benchmark must not
 // pass the gate). A plain name gates ns/op regressions beyond tolerance and
 // any allocation count above a previously allocation-free baseline; a
-// Name:metric spec gates the named custom metric under the same tolerance
-// instead, leaving wall time alone (the metric — e.g. the guided searcher's
-// convergence_evals — is deterministic where the timing is not).
+// Name:metric spec gates the named custom metric (or allocs/op) under the
+// same tolerance instead, leaving wall time alone (the metric — e.g. the
+// guided searcher's convergence_evals — is deterministic where the timing
+// is not).
 func checkGate(entries []Entry, base map[string]Entry, specs []string, tolerance float64) []string {
 	byName := make(map[string]Entry, len(entries))
 	for _, e := range entries {
@@ -180,8 +183,8 @@ func checkGate(entries []Entry, base map[string]Entry, specs []string, tolerance
 			continue
 		}
 		if metric != "" {
-			curV, curOK := cur.Extra[metric]
-			baseV, baseOK := b.Extra[metric]
+			curV, curOK := metricOf(cur, metric)
+			baseV, baseOK := metricOf(b, metric)
 			if !curOK || !baseOK {
 				failures = append(failures, fmt.Sprintf("%s: metric %s missing (run: %t, baseline: %t)",
 					name, metric, curOK, baseOK))
@@ -203,6 +206,17 @@ func checkGate(entries []Entry, base map[string]Entry, specs []string, tolerance
 		}
 	}
 	return failures
+}
+
+// metricOf returns the gateable metric of e named by a Name:metric spec: a
+// custom b.ReportMetric unit, or allocs/op (present when the benchmark
+// reported allocations).
+func metricOf(e Entry, metric string) (float64, bool) {
+	if metric == "allocs/op" {
+		return e.AllocsPerOp, e.AllocsPerOp >= 0
+	}
+	v, ok := e.Extra[metric]
+	return v, ok
 }
 
 // parseLine parses one `go test -bench` result line, e.g.
