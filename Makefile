@@ -27,7 +27,7 @@ race-obs:
 race-dist:
 	$(GO) test -race ./internal/dist/...
 
-# Evaluation-kernel microbenchmarks (compiled plan vs legacy, engine cache,
+# Evaluation-kernel microbenchmarks (compiled plan, engine worker,
 # sampler pipeline, delta-evaluation neighbor steps, cost attribution and
 # guided-mapper convergence), persisted as BENCH_eval.json and appended as a
 # dated record to BENCH_history.jsonl to track the perf trajectory across

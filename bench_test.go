@@ -83,27 +83,9 @@ func BenchmarkFig14DeepBench(b *testing.B) { b.ReportAllocs(); runExp(b, "fig14b
 
 // --- Microbenchmarks -------------------------------------------------------
 
-// engineBenchSetup builds the engine-benchmark fixture: a convolution
-// evaluator plus a fixed pool of sampled mappings that the loop cycles
-// through, so the cached variant measures steady-state memo hits.
-func engineBenchSetup() (*engine.Engine, *engine.Engine, []*mapping.Mapping) {
-	layer := workloads.ResNet50()[3]
-	a := arch.EyerissLike(14, 12, 128)
-	ev := nest.MustEvaluator(layer.Work, a)
-	sp := mapspace.New(layer.Work, a, mapspace.RubyS, mapspace.EyerissRowStationary(layer.Work))
-	rng := rand.New(rand.NewSource(1))
-	ms := make([]*mapping.Mapping, 256)
-	for i := range ms {
-		ms[i] = sp.Sample(rng)
-	}
-	uncached := engine.New(ev)
-	cached := engine.Config{CacheEntries: 1 << 12}.New(ev)
-	return uncached, cached, ms
-}
-
-// BenchmarkEngineUncached measures the zero-allocation uncached engine path
-// — a per-goroutine Worker's EvaluateShared over pre-lowered valid mappings,
-// the steady-state inner loop of every cache-less search worker. (The
+// BenchmarkEngineUncached measures the zero-allocation engine path — a
+// per-goroutine Worker's EvaluateShared over pre-lowered valid mappings, the
+// steady-state inner loop of every search worker. (The
 // convenience Engine.Evaluate entry detaches its result with Cost.Clone and
 // so allocates by design; invalid verdicts likewise allocate their Reason
 // string. Neither belongs in the hot loop this benchmark gates.)
@@ -132,22 +114,6 @@ func BenchmarkEngineUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCached measures steady-state re-evaluation of a working set
-// resident in the memo cache. The ISSUE acceptance bar is a >= 5x speedup
-// over BenchmarkEngineUncached with bit-identical costs (the costs are
-// asserted identical in engine's tests; here we measure the speedup).
-func BenchmarkEngineCached(b *testing.B) {
-	b.ReportAllocs()
-	_, eng, ms := engineBenchSetup()
-	for _, m := range ms {
-		eng.Evaluate(m) // warm the cache
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Evaluate(ms[i%len(ms)])
-	}
-}
-
 // BenchmarkEvaluateConv measures single-mapping evaluation throughput on a
 // 7-dimensional convolution — the inner loop of every search.
 func BenchmarkEvaluateConv(b *testing.B) {
@@ -164,9 +130,8 @@ func BenchmarkEvaluateConv(b *testing.B) {
 	}
 }
 
-// evalBenchSetup builds the compiled-vs-legacy fixture: the Eyeriss-like
-// ResNet-50 3x3 layer with a structurally valid sampled mapping (the
-// acceptance benchmark of the compiled-plan work).
+// evalBenchSetup builds the kernel fixture: the Eyeriss-like ResNet-50 3x3
+// layer with a structurally valid sampled mapping.
 func evalBenchSetup(b *testing.B) (*nest.Evaluator, *mapping.Mapping) {
 	b.Helper()
 	layer := workloads.ResNet50()[3]
@@ -184,21 +149,10 @@ func evalBenchSetup(b *testing.B) (*nest.Evaluator, *mapping.Mapping) {
 	return nil, nil
 }
 
-// BenchmarkEvaluateLegacy measures the original string-keyed cost model —
-// the before side of the compiled-plan comparison.
-func BenchmarkEvaluateLegacy(b *testing.B) {
-	b.ReportAllocs()
-	ev, m := evalBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.EvaluateLegacy(m)
-	}
-}
-
 // BenchmarkEvaluateCompiled measures the compiled plan's allocation-free
 // kernel on a per-worker scratch — the steady-state inner loop of every
-// search. Acceptance: >= 2x lower ns/op and >= 10x lower allocs/op than
-// BenchmarkEvaluateLegacy.
+// search. internal/nest's BenchmarkEvaluateLegacy prices the same fixture
+// through the legacy test-oracle model, for comparison.
 func BenchmarkEvaluateCompiled(b *testing.B) {
 	b.ReportAllocs()
 	ev, m := evalBenchSetup(b)

@@ -27,7 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"ruby/internal/engine"
 	"ruby/internal/exp"
 	"ruby/internal/profile"
 	"ruby/internal/sweep"
@@ -46,7 +45,6 @@ func main() {
 		svgDir  = flag.String("svg", "", "also render each experiment's figures as SVG files into this directory")
 		cpDir   = flag.String("checkpoint", "", "directory for per-layer checkpoints of suite experiments (fig10-fig14); rerunning resumes, skipping completed searches")
 		timeout = flag.Duration("timeout", 0, "wall-time budget per experiment; on expiry searches stop and report best-so-far (0 = none)")
-		cacheN  = flag.Int("cache", 0, "evaluation memo-cache entries per evaluator (0 = disabled)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -77,9 +75,6 @@ func main() {
 	}
 	if *seed != 0 {
 		cfg.Opt.Seed = *seed
-	}
-	if *cacheN > 0 {
-		cfg.Engine = engine.Config{CacheEntries: *cacheN}
 	}
 
 	names := []string{*name}

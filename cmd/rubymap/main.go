@@ -77,7 +77,6 @@ func main() {
 		threads    = flag.Int("threads", 0, "search threads (default: CPUs, max 24)")
 		seed       = flag.Int64("seed", 1, "RNG seed")
 		timeout    = flag.Duration("timeout", 0, "wall-time budget for the search; on expiry the best mapping so far is printed (0 = none)")
-		cacheN     = flag.Int("cache", 0, "evaluation memo-cache entries (0 = disabled)")
 		metrics    = flag.Bool("metrics", false, "print evaluation-pipeline counters after the search")
 		tracePath  = flag.String("trace", "", "write a Chrome-trace JSON span dump of the search to this file")
 		slowEval   = flag.Duration("slow-eval", 0, "log sampled evaluations slower than this (0 = off)")
@@ -218,7 +217,7 @@ func main() {
 		if *slowEval > 0 || *slowSearch > 0 {
 			ins.Slow = &obs.SlowLog{EvalThreshold: *slowEval, SearchThreshold: *slowSearch}
 		}
-		eng := engine.Config{CacheEntries: *cacheN, Metrics: ins, Workers: *threads}.New(ev)
+		eng := engine.Config{Metrics: ins, Workers: *threads}.New(ev)
 		if *cpDir != "" || *resume || *searcher == "exhaustive" {
 			res, err = runCheckpointable(ctx, *searcher, sp, eng, ev, k, cons, opt, *evals, *cpDir, *resume)
 			if err != nil {
@@ -242,8 +241,8 @@ func main() {
 		}
 		if *metrics {
 			s := ins.Counters.Snapshot()
-			fmt.Printf("pipeline: %d evaluations (%.1f%% valid), %d cache hits (%.1f%%), %d improvements, %.2fs search time\n\n",
-				s.Evaluations, 100*s.ValidRate, s.CacheHits, 100*s.CacheHitRate, s.Improvements, s.SearchSeconds)
+			fmt.Printf("pipeline: %d evaluations (%.1f%% valid), %d improvements, %.2fs search time\n\n",
+				s.Evaluations, 100*s.ValidRate, s.Improvements, s.SearchSeconds)
 		}
 	}
 	reportAndExit(res, w, a, k, sp, ev, lib, libKey,

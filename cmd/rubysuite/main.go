@@ -34,7 +34,6 @@ import (
 
 	"ruby/internal/arch"
 	"ruby/internal/config"
-	"ruby/internal/engine"
 	"ruby/internal/library"
 	"ruby/internal/mapspace"
 	"ruby/internal/search"
@@ -59,7 +58,6 @@ func main() {
 		resume   = flag.Bool("resume", false, "alias for clarity: resuming is automatic whenever -checkpoint is set")
 		timeout  = flag.Duration("timeout", 0, "wall-time budget for the whole run; on expiry the run aborts (0 = none)")
 		parallel = flag.Int("parallel", 0, "layers searched concurrently (0 = auto, 1 = serial)")
-		cacheN   = flag.Int("cache", 0, "per-layer evaluation memo-cache entries (0 = disabled)")
 		fuse     = flag.Bool("fuse", false, "fusion-aware network search: keep fused producer->consumer segments that strictly lower network EDP")
 		list     = flag.Bool("list", false, "list suites and exit")
 	)
@@ -153,7 +151,6 @@ func main() {
 	defer stop()
 	so := sweep.SuiteOptions{
 		Search:     search.Options{Algo: *algo, Seed: *seed, Threads: *threads, MaxEvaluations: *evals},
-		Engine:     engine.Config{CacheEntries: *cacheN},
 		Library:    lib,
 		Checkpoint: cp,
 		Parallel:   *parallel,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
@@ -358,5 +359,40 @@ func TestRunLocalDeterministic(t *testing.T) {
 	}
 	if a.Best == nil {
 		t.Error("no incumbent found")
+	}
+}
+
+// TestRunLocalGolden pins the merged result of single-node reference runs
+// (random and guided substream plans) as FNV-1a hashes of its JSON.
+func TestRunLocalGolden(t *testing.T) {
+	for _, g := range []struct {
+		algo string
+		want uint64
+	}{
+		{"random", 0xb892579767595748},
+		{"guided", 0x69379126b79cb6f},
+	} {
+		spec := testSpec(g.algo)
+		_, sp, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := BuildPlan(sp, g.algo, 11, 3, 900)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := RunLocal(context.Background(), spec, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(raw)
+		if got := h.Sum64(); got != g.want {
+			t.Errorf("%s: merged hash %#x, want %#x\n%s", g.algo, got, g.want, raw)
+		}
 	}
 }

@@ -10,11 +10,6 @@ import (
 	"ruby/internal/search"
 )
 
-// localCacheEntries mirrors the server's per-request memo cache size, so
-// the single-node reference execution evaluates through an equivalent
-// pipeline.
-const localCacheEntries = 1 << 15
-
 // RunLocal executes a plan's shards sequentially in-process and merges them
 // exactly as the coordinator does — the single-node reference a distributed
 // run of the same spec and plan must reproduce bit-for-bit (mapping and
@@ -40,7 +35,7 @@ func RunLocal(ctx context.Context, spec *JobSpec, plan *Plan) (*Merged, error) {
 		ConsecutiveNoImprove: spec.NoImprove,
 		Objective:            obj,
 	}
-	eng := engine.Config{CacheEntries: localCacheEntries}.New(ev)
+	eng := engine.New(ev)
 
 	c := NewCoordinator(plan, 0, nil)
 	for _, sh := range plan.Shards {

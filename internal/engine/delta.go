@@ -11,12 +11,9 @@ import (
 // evaluate Move proposals at delta cost instead of re-running the full
 // kernel per neighbor. One Delta per goroutine; the Engine stays shared.
 //
-// The delta path deliberately bypasses two engine layers that make no sense
-// for it: the memo cache (a local search revisits a neighborhood, not exact
-// duplicates, and the delta kernel is cheaper than a cache probe plus key
-// computation) and the panic guard (the kernel operates on an already
-// validated lowering; a panic there is a programming error the differential
-// tests exist to catch). Evaluation counts still flow to Metrics, so search
+// The delta path deliberately bypasses the engine's panic guard: the kernel
+// operates on an already validated lowering, so a panic there is a
+// programming error the differential tests exist to catch. Evaluation counts still flow to Metrics, so search
 // telemetry is comparable across the full and incremental paths.
 type Delta struct {
 	e  *Engine
@@ -43,14 +40,13 @@ func (d *Delta) Seed(m *mapping.Mapping) nest.Cost {
 }
 
 // Evaluate scores the open Move proposal described by dl (already applied
-// to the seeded mapping) and reports it to Metrics as an uncached
-// evaluation. Commit or Reject must follow before the next proposal. The
+// to the seeded mapping) and reports it to Metrics as one evaluation. Commit or Reject must follow before the next proposal. The
 // returned Cost's per-level slices alias the session scratch.
 //
 //ruby:hotpath
 func (d *Delta) Evaluate(dl mapping.Delta) nest.Cost {
 	c := d.e.ev.Plan().EvaluateDelta(d.de, dl)
-	d.e.metrics.Evaluation(c.Valid, false)
+	d.e.metrics.Evaluation(c.Valid)
 	return c
 }
 

@@ -6,17 +6,15 @@
 //
 //   - cancellation: batch evaluation honors a context, so searches stop
 //     promptly on deadlines and client disconnects;
-//   - memoization: an optional concurrency-safe cache keyed by the canonical
-//     mapping signature (mapping.Key) stops random sampling in small or
-//     heavily constrained mapspaces from re-paying full model cost for
-//     duplicate samples;
+//   - isolation: a panicking model call is recovered, retried and degraded
+//     to an invalid Cost instead of taking the process down;
 //   - instrumentation: a pluggable Metrics hook counts evaluations, validity,
-//     cache hits, improvement events and per-search wall time, with an
-//     atomic default implementation exportable via expvar/JSON.
+//     improvement events and per-search wall time, with an atomic default
+//     implementation exportable via expvar/JSON.
 //
 // The Engine is safe for concurrent use; a zero Config yields a transparent
-// pass-through (no cache, no metrics) so Engine results are always
-// bit-identical to calling nest.Evaluator.Evaluate directly.
+// pass-through (no metrics) so Engine results are always bit-identical to
+// calling nest.Evaluator.Evaluate directly.
 package engine
 
 import (
@@ -43,17 +41,13 @@ func Cancelled(c *nest.Cost) bool { return !c.Valid && c.Reason == CancelledReas
 
 // Config tunes an Engine. The zero value is a transparent pass-through.
 type Config struct {
-	// CacheEntries bounds the evaluation cache (approximately; the
-	// generational eviction keeps at most ~2x this many entries resident).
-	// 0 disables caching entirely.
-	CacheEntries int
 	// Metrics receives evaluation and search events. nil disables
 	// instrumentation.
 	Metrics Metrics
 	// Workers bounds EvaluateBatch parallelism (default: NumCPU, capped at
 	// 24 to match the paper's search setup).
 	Workers int
-	// LatencySampleEvery reports every Nth uncached evaluation's model
+	// LatencySampleEvery reports every Nth full evaluation's model
 	// latency to Metrics.EvalLatency (counted per worker). 0 selects the
 	// default of 64 — two clock reads per 64 evaluations keep the timing
 	// overhead far below the hot path's noise floor — 1 times every
@@ -68,7 +62,6 @@ const defaultLatencySampleEvery = 64
 // Engine evaluates mappings for one (workload, architecture) pair.
 type Engine struct {
 	ev          *nest.Evaluator
-	cache       *memoCache
 	metrics     Metrics
 	workers     int
 	sampleEvery uint64 // 0 = latency sampling disabled
@@ -97,13 +90,10 @@ func (c Config) New(ev *nest.Evaluator) *Engine {
 	case c.LatencySampleEvery > 0:
 		e.sampleEvery = uint64(c.LatencySampleEvery)
 	}
-	if c.CacheEntries > 0 {
-		e.cache = newMemoCache(c.CacheEntries)
-	}
 	return e
 }
 
-// New builds a pass-through Engine (no cache, no metrics) — the adapter the
+// New builds a pass-through Engine (no metrics) — the adapter the
 // legacy non-context search entry points use.
 func New(ev *nest.Evaluator) *Engine { return Config{}.New(ev) }
 
@@ -115,33 +105,18 @@ func (e *Engine) Evaluator() *nest.Evaluator { return e.ev }
 // per-evaluation counters the Engine records itself.
 func (e *Engine) Metrics() Metrics { return e.metrics }
 
-// Evaluate runs one mapping through the cache and the model. Cached costs
-// are bit-identical to fresh ones: the model is deterministic, and the cache
-// key (mapping.Key) canonicalizes exactly the features the model reads.
-// The returned Cost shares its per-level slices with the cache; callers
-// treat costs as read-only (all existing consumers do). A panicking model
-// call is isolated, retried and — if it keeps panicking — degraded to an
-// invalid Cost with a PanicReason (see evalGuarded).
+// Evaluate runs one mapping through the model. A panicking model call is
+// isolated, retried and — if it keeps panicking — degraded to an invalid
+// Cost with a PanicReason (see evalGuarded).
 func (e *Engine) Evaluate(m *mapping.Mapping) nest.Cost {
-	if e.cache == nil {
-		c := e.timedEval(m, nil, e.nEvals.Add(1))
-		e.metrics.Evaluation(c.Valid, false)
-		return c
-	}
-	key := m.Key(e.ev.Work, e.ev.Slots)
-	if c, ok := e.cache.get(key); ok {
-		e.metrics.Evaluation(c.Valid, true)
-		return c
-	}
 	c := e.timedEval(m, nil, e.nEvals.Add(1))
-	e.cache.put(key, c)
-	e.metrics.Evaluation(c.Valid, false)
+	e.metrics.Evaluation(c.Valid)
 	return c
 }
 
 // timedEval runs one guarded model call, timing every sampleEvery-th call
 // and reporting it to Metrics.EvalLatency. n is the caller's running count
-// of uncached evaluations — per Worker on the search hot path, engine-wide
+// of evaluations — per Worker on the search hot path, engine-wide
 // for Engine.Evaluate — so the sampling clock adds no shared state to
 // worker loops.
 //
@@ -158,12 +133,12 @@ func (e *Engine) timedEval(m *mapping.Mapping, w *Worker, n uint64) nest.Cost {
 
 // Worker is a per-goroutine evaluation handle: the engine's compiled plan
 // plus a private scratch. It keeps the hot path allocation-free — no pool
-// traffic, no locks — while sharing the engine's cache and metrics. A Worker
+// traffic, no locks — while sharing the engine's metrics. A Worker
 // must not be used from more than one goroutine at a time.
 type Worker struct {
 	e       *Engine
 	scratch *nest.Scratch
-	n       uint64 // uncached evaluations; drives latency sampling
+	n       uint64 // evaluations; drives latency sampling
 }
 
 // NewWorker builds an evaluation worker bound to the engine.
@@ -174,36 +149,18 @@ func (e *Engine) NewWorker() *Worker {
 // Evaluate is Engine.Evaluate on the worker's scratch. The returned Cost is
 // stable (detached from the scratch).
 func (w *Worker) Evaluate(m *mapping.Mapping) nest.Cost {
-	c := w.EvaluateShared(m)
-	if w.e.cache == nil {
-		c = c.Clone()
-	}
-	return c
+	return w.EvaluateShared(m).Clone()
 }
 
 // EvaluateShared evaluates m without detaching the result: the returned
-// Cost's per-level slices alias either the worker's scratch or a cache
-// entry, and scratch-backed results are overwritten by the worker's next
-// evaluation. Callers that retain a cost across evaluations (e.g. a search's
-// running best) must Clone it. This is the zero-allocation steady-state path
-// for cache-less tight loops.
+// Cost's per-level slices alias the worker's scratch and are overwritten by
+// the worker's next evaluation. Callers that retain a cost across
+// evaluations (e.g. a search's running best) must Clone it. This is the
+// zero-allocation steady-state path for tight loops.
 func (w *Worker) EvaluateShared(m *mapping.Mapping) nest.Cost {
-	e := w.e
-	if e.cache == nil {
-		w.n++
-		c := e.timedEval(m, w, w.n)
-		e.metrics.Evaluation(c.Valid, false)
-		return c
-	}
-	key := m.Key(e.ev.Work, e.ev.Slots)
-	if c, ok := e.cache.get(key); ok {
-		e.metrics.Evaluation(c.Valid, true)
-		return c
-	}
 	w.n++
-	c := e.timedEval(m, w, w.n).Clone()
-	e.cache.put(key, c)
-	e.metrics.Evaluation(c.Valid, false)
+	c := w.e.timedEval(m, w, w.n)
+	w.e.metrics.Evaluation(c.Valid)
 	return c
 }
 

@@ -145,22 +145,3 @@ func TestBatchIsolatesPanickingMapping(t *testing.T) {
 		t.Errorf("panics counter = %d, want %d", got, panicRetries+1)
 	}
 }
-
-// Degraded costs are cached like any other verdict, so a deterministically
-// panicking mapping pays the retry backoff once, not on every duplicate.
-func TestPanicDegradationIsCached(t *testing.T) {
-	eng, m := guardFixture(t, Config{CacheEntries: 64})
-	calls := 0
-	eng.evalHook = func(*mapping.Mapping) nest.Cost {
-		calls++
-		panic("always")
-	}
-	first := eng.Evaluate(m)
-	second := eng.Evaluate(m)
-	if !Panicked(&first) || !Panicked(&second) {
-		t.Fatalf("degradation lost: %+v / %+v", first, second)
-	}
-	if want := panicRetries + 1; calls != want {
-		t.Errorf("model called %d times, want %d (second lookup must hit the cache)", calls, want)
-	}
-}

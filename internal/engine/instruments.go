@@ -55,7 +55,7 @@ func NewInstruments() *Instruments {
 }
 
 // Evaluation implements Metrics.
-func (in *Instruments) Evaluation(valid, cached bool) { in.Counters.Evaluation(valid, cached) }
+func (in *Instruments) Evaluation(valid bool) { in.Counters.Evaluation(valid) }
 
 // EvalLatency implements Metrics.
 //
@@ -142,8 +142,6 @@ func (in *Instruments) Register(reg *obs.Registry) {
 		func() float64 { return float64(c.Snapshot().Evaluations) })
 	reg.Counter("ruby_valid_total", "Evaluations with a valid verdict.",
 		func() float64 { return float64(c.Snapshot().Valid) })
-	reg.Counter("ruby_cache_hits_total", "Evaluations served from the memo cache.",
-		func() float64 { return float64(c.Snapshot().CacheHits) })
 	reg.Counter("ruby_improvements_total", "Incumbent-best improvement events.",
 		func() float64 { return float64(c.Snapshot().Improvements) })
 	reg.Counter("ruby_searches_total", "Completed searches.",

@@ -12,7 +12,7 @@ import (
 )
 
 // TestInstrumentsHistogramMatchesCounters is the cross-layer invariant: with
-// LatencySampleEvery=1 and no cache, every model evaluation is timed, so the
+// LatencySampleEvery=1, every model evaluation is timed, so the
 // eval-latency histogram's count equals the Counters' evaluation total, and
 // bucket counts are consistent (non-negative, summing to the total).
 func TestInstrumentsHistogramMatchesCounters(t *testing.T) {
@@ -32,9 +32,8 @@ func TestInstrumentsHistogramMatchesCounters(t *testing.T) {
 		t.Fatalf("evaluations = %d, want %d", snap.Evaluations, 2*n)
 	}
 	hist := in.EvalHist.Snapshot()
-	if hist.Count != snap.Evaluations-snap.CacheHits {
-		t.Fatalf("eval-latency histogram count %d != uncached evaluations %d",
-			hist.Count, snap.Evaluations-snap.CacheHits)
+	if hist.Count != snap.Evaluations {
+		t.Fatalf("eval-latency histogram count %d != evaluations %d", hist.Count, snap.Evaluations)
 	}
 	total := int64(0)
 	for _, c := range hist.Counts {
@@ -54,7 +53,7 @@ func TestInstrumentsHistogramMatchesCounters(t *testing.T) {
 	}
 }
 
-// TestLatencySampling checks the sampling clock: every Nth uncached
+// TestLatencySampling checks the sampling clock: every Nth full
 // evaluation is timed, and negative LatencySampleEvery disables timing.
 func TestLatencySampling(t *testing.T) {
 	sp, ev := toy()
@@ -100,7 +99,7 @@ func TestInstrumentsSlowLog(t *testing.T) {
 
 func TestInstrumentsRegister(t *testing.T) {
 	in := NewInstruments()
-	in.Evaluation(true, false)
+	in.Evaluation(true)
 	in.BestObjective(1e9)
 	reg := obs.NewRegistry()
 	in.Register(reg)

@@ -11,12 +11,12 @@ import (
 // Counters implements the counting subset; Instruments adds the
 // distribution events (latency, best objective) on obs histograms.
 type Metrics interface {
-	// Evaluation is called once per Engine.Evaluate: valid is the model's
-	// verdict, cached reports whether the cost came from the memo cache.
-	Evaluation(valid, cached bool)
+	// Evaluation is called once per evaluation (full or delta): valid is
+	// the model's verdict.
+	Evaluation(valid bool)
 	// EvalLatency reports the wall time of one model evaluation. The engine
 	// samples (Config.LatencySampleEvery), so it is called for a subset of
-	// the uncached evaluations; implementations must stay cheap and
+	// the full evaluations; implementations must stay cheap and
 	// allocation-free — it runs on the search hot path.
 	EvalLatency(d time.Duration)
 	// BatchLatency reports the wall time of one EvaluateBatch call of n
@@ -61,7 +61,7 @@ var NopMetrics Metrics = nopMetrics{}
 
 type nopMetrics struct{}
 
-func (nopMetrics) Evaluation(bool, bool)                  {}
+func (nopMetrics) Evaluation(bool)                        {}
 func (nopMetrics) EvalLatency(time.Duration)              {}
 func (nopMetrics) BatchLatency(time.Duration, int)        {}
 func (nopMetrics) Improvement(int64, float64)             {}
@@ -78,7 +78,6 @@ func (nopMetrics) Panic()                                 {}
 type Counters struct {
 	evaluations    atomic.Int64
 	valid          atomic.Int64
-	cacheHits      atomic.Int64
 	improvements   atomic.Int64
 	searches       atomic.Int64
 	wallNanos      atomic.Int64
@@ -88,13 +87,10 @@ type Counters struct {
 }
 
 // Evaluation implements Metrics.
-func (c *Counters) Evaluation(valid, cached bool) {
+func (c *Counters) Evaluation(valid bool) {
 	c.evaluations.Add(1)
 	if valid {
 		c.valid.Add(1)
-	}
-	if cached {
-		c.cacheHits.Add(1)
 	}
 }
 
@@ -133,8 +129,6 @@ type Snapshot struct {
 	Evaluations   int64   `json:"evaluations"`    // total Evaluate calls
 	Valid         int64   `json:"valid"`          // evaluations with a valid verdict
 	ValidRate     float64 `json:"valid_rate"`     // Valid / Evaluations
-	CacheHits     int64   `json:"cache_hits"`     // evaluations served from the memo cache
-	CacheHitRate  float64 `json:"cache_hit_rate"` // CacheHits / Evaluations
 	Improvements  int64   `json:"improvements"`   // incumbent-best improvements
 	Searches      int64   `json:"searches"`       // completed searches
 	SearchSeconds float64 `json:"search_seconds"` // summed search wall time
@@ -143,6 +137,11 @@ type Snapshot struct {
 	// committed moves and perturbation restarts (zero unless Guided ran).
 	GuidedMoves    int64 `json:"guided_moves"`
 	GuidedRestarts int64 `json:"guided_restarts"`
+	// CacheHits is always 0 and is not serialized. The engine has no memo
+	// cache; the field stays only because the repository benchmark
+	// (perfbench) still reads it. It goes with that reader in the next
+	// change to the benchmark (ROADMAP, known defects).
+	CacheHits int64 `json:"-"`
 }
 
 // Snapshot reads the counters. The reads are individually atomic (not a
@@ -151,7 +150,6 @@ func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
 		Evaluations:    c.evaluations.Load(),
 		Valid:          c.valid.Load(),
-		CacheHits:      c.cacheHits.Load(),
 		Improvements:   c.improvements.Load(),
 		Searches:       c.searches.Load(),
 		SearchSeconds:  float64(c.wallNanos.Load()) / 1e9,
@@ -161,7 +159,6 @@ func (c *Counters) Snapshot() Snapshot {
 	}
 	if s.Evaluations > 0 {
 		s.ValidRate = float64(s.Valid) / float64(s.Evaluations)
-		s.CacheHitRate = float64(s.CacheHits) / float64(s.Evaluations)
 	}
 	return s
 }

@@ -13,28 +13,22 @@ import (
 	"ruby/internal/workloads"
 )
 
-// TestWorkerMatchesEngine pins Worker.Evaluate/EvaluateShared to
-// Engine.Evaluate, with and without a cache, and checks the aliasing
-// contract: shared results are overwritten by the next evaluation, cloned
-// ones are not.
+// TestWorkerMatchesEngine pins Worker.Evaluate to Engine.Evaluate.
 func TestWorkerMatchesEngine(t *testing.T) {
 	layer := workloads.ResNet50()[3]
 	a := arch.EyerissLike(14, 12, 128)
 	ev := nest.MustEvaluator(layer.Work, a)
 	sp := mapspace.New(layer.Work, a, mapspace.RubyS, mapspace.EyerissRowStationary(layer.Work))
 
-	for _, cacheEntries := range []int{0, 1 << 10} {
-		eng := Config{CacheEntries: cacheEntries}.New(ev)
-		ref := Config{CacheEntries: cacheEntries}.New(ev)
-		wk := eng.NewWorker()
-		rng := rand.New(rand.NewSource(21))
-		for i := 0; i < 300; i++ {
-			m := sp.Sample(rng)
-			got := wk.Evaluate(m)
-			want := ref.Evaluate(m)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cache=%d mapping %d: worker %+v\nengine %+v", cacheEntries, i, got, want)
-			}
+	wk := New(ev).NewWorker()
+	ref := New(ev)
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 300; i++ {
+		m := sp.Sample(rng)
+		got := wk.Evaluate(m)
+		want := ref.Evaluate(m)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mapping %d: worker %+v\nengine %+v", i, got, want)
 		}
 	}
 }
@@ -47,7 +41,7 @@ func TestWorkerSharedAliasing(t *testing.T) {
 	a := arch.EyerissLike(14, 12, 128)
 	ev := nest.MustEvaluator(layer.Work, a)
 	sp := mapspace.New(layer.Work, a, mapspace.RubyS, mapspace.EyerissRowStationary(layer.Work))
-	eng := New(ev) // no cache: shared results are scratch-backed
+	eng := New(ev)
 	wk := eng.NewWorker()
 
 	rng := rand.New(rand.NewSource(8))
@@ -77,14 +71,14 @@ func TestWorkerSharedAliasing(t *testing.T) {
 	}
 }
 
-// TestWorkerConcurrent runs many workers over one engine+cache — meaningful
-// under -race.
+// TestWorkerConcurrent runs many workers over one engine — meaningful under
+// -race.
 func TestWorkerConcurrent(t *testing.T) {
 	layer := workloads.ResNet50()[3]
 	a := arch.EyerissLike(14, 12, 128)
 	ev := nest.MustEvaluator(layer.Work, a)
 	sp := mapspace.New(layer.Work, a, mapspace.RubyS, mapspace.EyerissRowStationary(layer.Work))
-	eng := Config{CacheEntries: 256}.New(ev)
+	eng := New(ev)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -28,7 +28,7 @@ type Config struct {
 	// Runs averages stochastic-search experiments over this many seeds
 	// (the paper uses 100 for Fig. 7). Minimum 1.
 	Runs int
-	// Engine configures the evaluation pipeline (memo cache, metrics hook)
+	// Engine configures the evaluation pipeline (metrics hook, workers)
 	// each experiment builds per evaluator. The zero value is a transparent
 	// pass-through, so results for fixed seeds are unchanged by default.
 	Engine engine.Config

@@ -79,10 +79,10 @@ type denseMemo struct {
 }
 
 // Dense returns the mapping's lowered form for the given evaluator context,
-// computing and memoizing it on first use. The same mutation invariant as
-// Key applies: a mapping that has been lowered must not be mutated in place
-// except through Invalidate, RewriteDense (which the mapspace sampler calls)
-// or the Set* patch methods below (which mapspace.Move uses).
+// computing and memoizing it on first use. A mapping that has been lowered
+// must not be mutated in place except through Invalidate, RewriteDense
+// (which the mapspace sampler calls) or the Set* patch methods below (which
+// mapspace.Move uses).
 //
 //ruby:hotpath
 func (m *Mapping) Dense(w *workload.Workload, a *arch.Arch, slots []Slot) (*Dense, error) {
@@ -101,11 +101,11 @@ func (m *Mapping) Dense(w *workload.Workload, a *arch.Arch, slots []Slot) (*Dens
 }
 
 // RewriteDense is the lowering entry point for producers that build a
-// mapping and its dense form in one pass (the mapspace sampler). It clears
-// the memoized key, installs the recycled dense storage, shaped for (w, a,
-// slots) and with an empty KeepMask, as the memoized lowering, and returns
-// it for the caller to overwrite: every Cum row (SetChainRow, or
-// SetChainRowChecked), every Perm row and any keep masks (SetKeepMask). It
+// mapping and its dense form in one pass (the mapspace sampler). It installs
+// the recycled dense storage, shaped for (w, a, slots) and with an empty
+// KeepMask, as the memoized lowering, and returns it for the caller to
+// overwrite: every Cum row (SetChainRow, or SetChainRowChecked), every Perm
+// row and any keep masks (SetKeepMask). It
 // is the caller's job to hold what it writes to densify's structural checks
 // (SetChainRowChecked, PermRowComplete). Under the single-owner contract
 // of Invalidate nothing may read m until the caller has done so — or has
@@ -166,12 +166,7 @@ func (m *Mapping) UpdatableDense(w *workload.Workload, a *arch.Arch, slots []Slo
 	return nil
 }
 
-// ResetKey clears only the memoized canonical key, keeping the dense form.
-// Moves that patch the dense form in place call this so Key stays consistent
-// with the mutated mapping.
-func (m *Mapping) ResetKey() { m.key.Store(nil) }
-
-// Invalidate clears the memoized key and dense forms after an in-place
+// Invalidate clears the memoized dense form after an in-place
 // mutation. The dense storage (and its memo record) is recycled into the
 // next lowering so that sampler loops reusing one Mapping stay
 // allocation-free at steady state. Invalidate-and-reuse is single-owner by
@@ -183,7 +178,6 @@ func (m *Mapping) Invalidate() {
 		m.spareMemo = dm
 	}
 	m.dense.Store(nil)
-	m.key.Store(nil)
 }
 
 // SetChainRow recomputes dimension di's cumulative-tile row in place for the

@@ -115,30 +115,16 @@ type Mapping struct {
 	// always keeps everything.
 	Keep []map[workload.Role]bool
 
-	// key memoizes the last Key result (the evaluation-cache hot path).
-	// Invariant: a mapping that has been keyed must not be mutated in
-	// place — Clone first (as every searcher does) or call Invalidate
-	// after the mutation. Clone does not copy the memo.
-	key atomic.Pointer[keyMemo]
-
 	// dense memoizes the integer-indexed lowering read by the compiled
-	// evaluation plan, under the same mutation invariant as key. spare and
+	// evaluation plan. Invariant: a mapping that has been lowered must not
+	// be mutated in place — Clone first (as every searcher does) or call
+	// Invalidate after the mutation. Clone does not copy the memo. spare and
 	// spareMemo recycle the previous lowering's storage (and its memo
 	// record) across Invalidate calls so sampler loops that reuse one
 	// Mapping stay allocation-free.
 	dense     atomic.Pointer[denseMemo]
 	spare     *Dense
 	spareMemo *denseMemo
-}
-
-// keyMemo records a computed key together with the identity of the
-// (workload, slots) pair it was computed against, so a stale memo is never
-// served to a different evaluator.
-type keyMemo struct {
-	w      *workload.Workload
-	nslots int
-	slot0  *Slot
-	key    string
 }
 
 // Clone deep-copies the mapping.
@@ -287,26 +273,10 @@ func (m *Mapping) KeptRoles(a *arch.Arch, li int) map[workload.Role]bool {
 	return out
 }
 
-// Key returns a canonical string identifying the mapping (for dedup and
-// deterministic test assertions). Dims are sorted; single-trip loops are
-// dropped from permutations.
+// Key returns a canonical string identifying the mapping, for equality
+// assertions in tests. Dims are sorted; single-trip loops are dropped from
+// permutations. It is computed afresh on every call.
 func (m *Mapping) Key(w *workload.Workload, slots []Slot) string {
-	var slot0 *Slot
-	if len(slots) > 0 {
-		slot0 = &slots[0]
-	}
-	if km := m.key.Load(); km != nil && km.w == w && km.nslots == len(slots) && km.slot0 == slot0 {
-		return km.key
-	}
-	s := m.computeKey(w, slots)
-	m.key.Store(&keyMemo{w: w, nslots: len(slots), slot0: slot0, key: s})
-	return s
-}
-
-func (m *Mapping) computeKey(w *workload.Workload, slots []Slot) string {
-	// This is the hot path of the evaluation memo cache: built with append
-	// and strconv rather than fmt so that keying a mapping stays much cheaper
-	// than evaluating it.
 	dims := w.SortedDimNames()
 	// Cumulative tile sizes (Chain.Cum) for every dim, packed into one flat
 	// backing array with stride nf+1 to avoid a per-dim allocation.

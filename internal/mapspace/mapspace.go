@@ -218,23 +218,36 @@ func (s *Space) divisors(n int) []int {
 }
 
 // divCache is a per-goroutine, lock-free view of the space's divisor cache:
-// a flat residual-indexed table (residuals never exceed the largest dimension
-// bound). Samplers and mutators each own one, so the steady-state sampling
-// loop replaces two atomic lock operations per factor draw with one slice
-// load. Entries alias the shared cache's slices, which are immutable.
+// a flat residual-indexed table for the residuals below divCacheCap, and a
+// map, filled as they are drawn, for the few above it, fronted by the last
+// one looked up (a dimension's bound is redrawn at every slot its chain
+// leaves at 1). Samplers and mutators each own one, so the steady-state
+// sampling loop replaces two atomic lock operations per factor draw with
+// one slice load. Entries alias the shared cache's slices, which are
+// immutable.
 type divCache struct {
-	byN [][]int
+	byN   [][]int
+	large map[int][]int
+	lastN int
+	last  []int
 }
 
-// newDivCache sizes a divisor cache for the space's dimension bounds.
+// divCacheCap bounds a divCache's table (4096 slice headers, about 98 KB),
+// so no per-goroutine allocation scales with a dimension's value: residuals
+// at or above it go to the map, which holds only the residuals that occur.
+// ceil(B/k) takes about 2*sqrt(B) distinct values for a bound B, and only
+// those for k < B/4096 exceed the cap. The table covers every residual of
+// ResNet-50, MobileNetV2 and the Transformer suite.
+const divCacheCap = 4096
+
+// newDivCache sizes a divisor cache for the space's dimension bounds, up to
+// divCacheCap.
 func (s *Space) newDivCache() *divCache {
-	max := 0
+	n := 0
 	for _, d := range s.Work.Dims {
-		if d.Bound > max {
-			max = d.Bound
-		}
+		n = max(n, d.Bound+1)
 	}
-	return &divCache{byN: make([][]int, max+1)}
+	return &divCache{byN: make([][]int, min(n, divCacheCap))}
 }
 
 // divisorsFor is divisors through the caller's private cache (nil falls back
@@ -242,7 +255,10 @@ func (s *Space) newDivCache() *divCache {
 //
 //ruby:hotpath
 func (s *Space) divisorsFor(n int, dc *divCache) []int {
-	if dc != nil && n < len(dc.byN) {
+	if dc == nil {
+		return s.divisors(n)
+	}
+	if n < len(dc.byN) {
 		if d := dc.byN[n]; d != nil {
 			return d
 		}
@@ -250,7 +266,19 @@ func (s *Space) divisorsFor(n int, dc *divCache) []int {
 		dc.byN[n] = d
 		return d
 	}
-	return s.divisors(n)
+	if n == dc.lastN {
+		return dc.last
+	}
+	d, ok := dc.large[n]
+	if !ok {
+		if dc.large == nil {
+			dc.large = make(map[int][]int)
+		}
+		d = s.divisors(n)
+		dc.large[n] = d
+	}
+	dc.lastN, dc.last = n, d
+	return d
 }
 
 // Slots exposes the slot list the space maps over.

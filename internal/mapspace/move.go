@@ -14,11 +14,11 @@ import (
 // rejects the candidate — reverted exactly with Undo.
 //
 // Apply patches the mapping's memoized dense lowering in place (only the
-// affected row or mask entry) and clears only the memoized key, so the
-// sample→lower→evaluate pipeline downstream never re-lowers or re-validates
-// the untouched dimensions and levels. The move's Delta tells the
-// incremental evaluator (nest.Plan.EvaluateDelta) exactly which cached
-// contributions to recompute.
+// affected row or mask entry), so the sample→lower→evaluate pipeline
+// downstream never re-lowers or re-validates the untouched dimensions and
+// levels. The move's Delta tells the incremental evaluator
+// (nest.Plan.EvaluateDelta) exactly which cached contributions to
+// recompute.
 //
 // The usual single-owner mutation contract applies: the mapping must not be
 // shared with concurrent readers while moves are applied to it.
@@ -76,7 +76,6 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 		copy(fs, mv.chain)
 		if dn != nil {
 			dn.SetChainRow(mv.delta.Dim, s.Work.Dims[mv.delta.Dim].Bound, fs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -88,7 +87,6 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 			base := mv.delta.Level * dn.NDims
 			copy(mv.oldPermIDs, dn.Perm[base:base+dn.NDims])
 			dn.SetPermRowIDs(mv.delta.Level, mv.permIDs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -125,7 +123,6 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 				}
 			}
 			dn.SetKeepMask(li, len(m.Keep), mask)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -150,7 +147,6 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 		copy(fs, mv.oldChain)
 		if dn != nil {
 			dn.SetChainRow(mv.delta.Dim, s.Work.Dims[mv.delta.Dim].Bound, fs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -159,7 +155,6 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 		copy(p, mv.oldPerm)
 		if dn != nil {
 			dn.SetPermRowIDs(mv.delta.Level, mv.oldPermIDs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -178,7 +173,6 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 				dn.KeepMask[li] = mv.oldMask
 			}
 			dn.TruncKeepMask(mv.oldMaskLen)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}

@@ -3,10 +3,12 @@ package mapspace
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ruby/internal/arch"
 	"ruby/internal/mapping"
+	"ruby/internal/workload"
 	"ruby/internal/workloads"
 )
 
@@ -105,5 +107,55 @@ func TestSampleIntoBypassAllocFree(t *testing.T) {
 	smp.SampleInto(rng, m) // first draw shapes m's storage
 	if n := testing.AllocsPerRun(200, func() { smp.SampleInto(rng, m) }); n != 0 {
 		t.Fatalf("SampleInto under ExploreBypass allocates %v times per draw", n)
+	}
+}
+
+// allocBytes reports the bytes f allocates, from runtime.MemStats deltas.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSamplerMemoryBounded is the regression case for per-goroutine divisor
+// tables sized by a dimension's value: a legal 5e7-bound GEMM once made
+// every sampler and mutator allocate a 1.2 GB table.
+func TestSamplerMemoryBounded(t *testing.T) {
+	w := workload.MustMatmul("huge", 50_000_000, 1, 1)
+	sp := New(w, arch.EyerissLike(14, 12, 128), RubyS, Constraints{})
+	const limit = 1 << 20
+	if n := allocBytes(func() { sp.NewSampler() }); n >= limit {
+		t.Errorf("NewSampler allocated %d bytes, want < %d", n, limit)
+	}
+	if n := allocBytes(func() { sp.NewMutator() }); n >= limit {
+		t.Errorf("NewMutator allocated %d bytes, want < %d", n, limit)
+	}
+}
+
+// TestSampleIntoMatchesSampleLargeBound checks the private divisor table's
+// cap: draws over a bound near 10^6 visit residuals on both sides of it and
+// must match the shared-cache path draw for draw.
+func TestSampleIntoMatchesSampleLargeBound(t *testing.T) {
+	w := workload.MustMatmul("gemm", 999_936, 32, 32)
+	sp := New(w, arch.EyerissLike(14, 12, 128), RubyS, Constraints{})
+	rngA := rand.New(rand.NewSource(5))
+	rngB := rand.New(rand.NewSource(5))
+	smp := sp.NewSampler()
+	m := &mapping.Mapping{}
+	large := 0
+	for i := 0; i < 300; i++ {
+		want := sp.Sample(rngA)
+		smp.SampleInto(rngB, m)
+		if !reflect.DeepEqual(m.Factors, want.Factors) || !reflect.DeepEqual(m.Perms, want.Perms) {
+			t.Fatalf("draw %d diverges:\n got %v\nwant %v", i, m.Factors, want.Factors)
+		}
+		if m.Factors["M"][0] >= divCacheCap {
+			large++
+		}
+	}
+	if large == 0 {
+		t.Error("no draw left a residual beyond the private table's cap")
 	}
 }

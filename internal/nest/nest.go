@@ -12,7 +12,6 @@
 package nest
 
 import (
-	"fmt"
 	"sync"
 
 	"ruby/internal/arch"
@@ -71,10 +70,7 @@ type Evaluator struct {
 
 	dims      []string
 	relevant  map[string]map[string]bool // tensor name -> dim -> indexes tensor
-	roleOf    map[string]workload.Role
-	macs      float64
-	lanes     float64
-	firstSlot []int // per level, index of its temporal slot
+	firstSlot []int                      // per level, index of its temporal slot
 
 	plan    *Plan     // compiled integer-indexed evaluation program
 	scratch sync.Pool // of *Scratch, for the Evaluate adapter
@@ -94,14 +90,10 @@ func NewEvaluator(w *workload.Workload, a *arch.Arch) (*Evaluator, error) {
 		Slots:    mapping.Slots(a),
 		dims:     w.DimNames(),
 		relevant: make(map[string]map[string]bool, len(w.Tensors)),
-		roleOf:   make(map[string]workload.Role, len(w.Tensors)),
-		macs:     float64(w.MACs()),
-		lanes:    float64(a.TotalLanes()),
 	}
 	for i := range w.Tensors {
 		t := &w.Tensors[i]
 		e.relevant[t.Name] = t.RelevantDims()
-		e.roleOf[t.Name] = t.Role
 	}
 	e.firstSlot = make([]int, len(a.Levels))
 	for li := range a.Levels {
@@ -125,15 +117,6 @@ func MustEvaluator(w *workload.Workload, a *arch.Arch) *Evaluator {
 	return e
 }
 
-// invalid builds an invalid-verdict Cost. Hot-path callers reach it only on
-// the rejected-mapping branch, so its formatting (and the boxing of its
-// arguments) never costs a steady-state allocation.
-//
-//ruby:coldpath
-func invalid(format string, args ...any) Cost {
-	return Cost{Valid: false, Reason: fmt.Sprintf(format, args...)}
-}
-
 // Evaluate computes the cost of mapping m via the compiled plan. Callers
 // that evaluate in a tight loop should hold their own Scratch and call
 // Plan().EvaluateMappingInto directly; this adapter borrows one from a pool
@@ -142,127 +125,6 @@ func (e *Evaluator) Evaluate(m *mapping.Mapping) Cost {
 	s := e.scratch.Get().(*Scratch)
 	c := e.plan.EvaluateMapping(m, s)
 	e.scratch.Put(s)
-	return c
-}
-
-// EvaluateLegacy computes the cost of mapping m through the original
-// string-keyed model. It is retained as the reference implementation for the
-// differential tests that pin the compiled plan to it bit for bit.
-func (e *Evaluator) EvaluateLegacy(m *mapping.Mapping) Cost {
-	chains, err := m.Chains(e.Work, e.Slots)
-	if err != nil {
-		return invalid("chains: %v", err)
-	}
-	if err := m.ValidatePerms(e.Work, e.Arch); err != nil {
-		return invalid("perms: %v", err)
-	}
-
-	// Spatial fanout bounds.
-	for _, s := range e.Slots {
-		if !s.Spatial() {
-			continue
-		}
-		used := 1
-		for _, d := range e.dims {
-			used *= chains[d].Trips(s.Index)
-		}
-		if used > s.Fanout {
-			return invalid("fanout: slot %d (%s level %d) exceeds %d instances",
-				s.Index, s.Kind, s.Level, s.Fanout)
-		}
-	}
-
-	// Storage residency and capacity.
-	kept := make([]map[workload.Role]bool, len(e.Arch.Levels))
-	for li := range e.Arch.Levels {
-		kept[li] = m.KeptRoles(e.Arch, li)
-	}
-	vols := e.tileVolumes(chains) // [level][tensor index]
-	for li := 1; li < len(e.Arch.Levels); li++ {
-		l := &e.Arch.Levels[li]
-		var shared int64
-		for ti := range e.Work.Tensors {
-			t := &e.Work.Tensors[ti]
-			if !kept[li][t.Role] {
-				continue
-			}
-			v := vols[li][ti]
-			if capWords, dedicated := l.RoleCapacity(t.Role); dedicated {
-				if v > capWords {
-					return invalid("capacity: level %s %v tile exceeds dedicated %d words",
-						l.Name, t.Role, capWords)
-				}
-			} else {
-				shared += v
-			}
-		}
-		if l.PerRole == nil && l.Capacity > 0 && shared > l.Capacity {
-			return invalid("capacity: level %s exceeds shared capacity %d words", l.Name, l.Capacity)
-		}
-	}
-
-	c := Cost{
-		Valid:         true,
-		MACs:          e.macs,
-		LevelReads:    make([]float64, len(e.Arch.Levels)),
-		LevelWrites:   make([]float64, len(e.Arch.Levels)),
-		LevelEnergyPJ: make([]float64, len(e.Arch.Levels)),
-	}
-
-	// Inter-level traffic per tensor along its chain of kept levels.
-	for ti := range e.Work.Tensors {
-		t := &e.Work.Tensors[ti]
-		keptLevels := e.keptLevels(t.Role, kept)
-		for i := 1; i < len(keptLevels); i++ {
-			parent, child := keptLevels[i-1], keptLevels[i]
-			e.addLinkTraffic(&c, m, chains, t, float64(vols[child][ti]), parent, child)
-		}
-		// Datapath-side accesses at the innermost kept level. A multicast
-		// network below the buffer delivers one read to every lane iterating
-		// a tensor-irrelevant spatial dimension (broadcast for inputs, a
-		// spatial reduction tree for partial sums), so those lanes share one
-		// buffer access.
-		inner := keptLevels[len(keptLevels)-1]
-		ops := e.macs / e.broadcastBelow(t, chains, inner)
-		c.LevelReads[inner] += ops
-		c.NoCEnergyPJ += ops * e.hopEnergy(inner, len(e.Arch.Levels))
-		if t.Role == workload.Output {
-			c.LevelWrites[inner] += ops
-			c.NoCEnergyPJ += ops * e.hopEnergy(inner, len(e.Arch.Levels))
-		}
-	}
-
-	// Latency: compute-bound cycles, stretched by any bandwidth-limited
-	// level (aggregate traffic over aggregate per-level bandwidth).
-	c.Cycles = 1
-	for _, d := range e.dims {
-		c.Cycles *= e.cyclesAlong(chains[d])
-	}
-	for li := range e.Arch.Levels {
-		bw := e.Arch.Levels[li].BandwidthWords
-		if bw <= 0 {
-			continue
-		}
-		memCycles := (c.LevelReads[li] + c.LevelWrites[li]) / (bw * float64(e.Arch.Instances(li)))
-		if memCycles > c.Cycles {
-			c.Cycles = memCycles
-			c.BandwidthBound = e.Arch.Levels[li].Name
-		}
-	}
-	c.Utilization = e.macs / (c.Cycles * e.lanes)
-
-	// Energy: dynamic accesses + MACs + optional NoC hops and leakage.
-	c.MACEnergyPJ = e.macs * e.Arch.Energy.MAC()
-	c.EnergyPJ = c.MACEnergyPJ + c.NoCEnergyPJ
-	for li := range e.Arch.Levels {
-		c.LevelEnergyPJ[li] = (c.LevelReads[li] + c.LevelWrites[li]) * e.Arch.AccessEnergyPJ(li)
-		c.EnergyPJ += c.LevelEnergyPJ[li]
-		if s := e.Arch.Levels[li].StaticPJPerCycle; s > 0 {
-			c.StaticEnergyPJ += s * c.Cycles * float64(e.Arch.Instances(li))
-		}
-	}
-	c.EnergyPJ += c.StaticEnergyPJ
-	c.EDP = c.EnergyPJ * c.Cycles
 	return c
 }
 
@@ -342,45 +204,6 @@ func (e *Evaluator) Links(m *mapping.Mapping) ([]LinkStats, error) {
 	return out, nil
 }
 
-// addLinkTraffic accumulates the traffic between consecutive kept levels
-// (parent, child) for tensor t whose per-child-instance tile volume is vol.
-//
-// The walk implements the stationarity model: starting from the child's tile
-// boundary and moving outward, contiguous temporal loops irrelevant to the
-// tensor reuse the resident tile (no refetch); the first relevant loop breaks
-// the run, after which every outer temporal loop multiplies fills. Spatial
-// slots never advance time: relevant ones partition data across instances
-// (reads and deliveries multiply), irrelevant ones replicate it (deliveries
-// multiply; parent reads multiply only when the connecting network cannot
-// multicast). For outputs, index dimensions are the relevant set, so
-// reduction loops inside the run accumulate in place, while fills beyond the
-// number of distinct output tiles cost a partial-sum round trip.
-func (e *Evaluator) addLinkTraffic(c *Cost, m *mapping.Mapping, chains map[string]mapping.Chain,
-	t *workload.Tensor, vol float64, parent, child int) {
-
-	ls := e.linkStats(m, chains, t, vol, parent, child)
-	hop := e.hopEnergy(parent, child)
-	if t.Role == workload.Output {
-		transfers := ls.Fills * ls.DelivMult
-		writesUp := transfers * vol // child -> parent partial/final tiles
-		// Distinct output tiles at this boundary; transfers beyond that are
-		// partial-sum round trips (parent read + child re-fill).
-		rmw := transfers - ls.Distinct
-		if rmw < 0 {
-			rmw = 0
-		}
-		c.LevelWrites[parent] += writesUp
-		c.LevelReads[parent] += rmw * vol
-		c.LevelReads[child] += writesUp   // child drains its tile upward
-		c.LevelWrites[child] += rmw * vol // and re-fills it on revisits
-		c.NoCEnergyPJ += (writesUp + rmw*vol) * hop
-		return
-	}
-	c.LevelReads[parent] += ls.Fills * ls.ReadsMult * vol
-	c.LevelWrites[child] += ls.Fills * ls.DelivMult * vol
-	c.NoCEnergyPJ += ls.Fills * ls.DelivMult * vol * hop
-}
-
 // linkStats runs the stationarity walk for one (tensor, parent, child) link.
 func (e *Evaluator) linkStats(m *mapping.Mapping, chains map[string]mapping.Chain,
 	t *workload.Tensor, vol float64, parent, child int) LinkStats {
@@ -439,74 +262,4 @@ func (e *Evaluator) linkStats(m *mapping.Mapping, chains map[string]mapping.Chai
 		Fills: fills, ReadsMult: readsMult, DelivMult: delivMult,
 		Distinct: distinct, Vol: vol,
 	}
-}
-
-// hopEnergy sums the per-word wire energy of the networks a parent->child
-// transfer crosses (the fanouts of every level from parent to just above
-// child).
-func (e *Evaluator) hopEnergy(parent, child int) float64 {
-	var total float64
-	for li := parent; li < child; li++ {
-		n := e.Arch.Levels[li].Fanout
-		if n.HopEnergyPJ > 0 {
-			total += n.HopEnergyPJ * n.MeanHops()
-		}
-	}
-	return total
-}
-
-// broadcastBelow returns the sharing factor for datapath-side accesses at
-// level li: the product of trips of tensor-irrelevant spatial slots at or
-// inside li whose network multicasts.
-func (e *Evaluator) broadcastBelow(t *workload.Tensor, chains map[string]mapping.Chain, li int) float64 {
-	rel := e.relevant[t.Name]
-	share := 1.0
-	for _, s := range e.Slots {
-		if !s.Spatial() || s.Level < li || !s.Multicast {
-			continue
-		}
-		for _, d := range e.dims {
-			if rel[d] {
-				continue
-			}
-			if tr := chains[d].Trips(s.Index); tr > 1 {
-				share *= float64(tr)
-			}
-		}
-	}
-	return share
-}
-
-// cyclesAlong returns the exact number of sequential (temporal) steps the
-// nest takes along one dimension, accounting for remainder tiles at every
-// slot. Spatial slots collapse to the largest instance's share.
-func (e *Evaluator) cyclesAlong(ch mapping.Chain) float64 {
-	type key struct{ chunk, si int }
-	memo := make(map[key]float64)
-	var rec func(chunk, si int) float64
-	rec = func(chunk, si int) float64 {
-		if si == len(e.Slots) {
-			return 1
-		}
-		sub := ch.Cum[si+1]
-		if e.Slots[si].Spatial() {
-			if chunk < sub {
-				sub = chunk
-			}
-			return rec(sub, si+1)
-		}
-		if sub >= chunk {
-			return rec(chunk, si+1)
-		}
-		k := key{chunk, si}
-		if v, ok := memo[k]; ok {
-			return v
-		}
-		n := (chunk + sub - 1) / sub
-		rem := chunk - (n-1)*sub
-		v := float64(n-1)*rec(sub, si+1) + rec(rem, si+1)
-		memo[k] = v
-		return v
-	}
-	return rec(ch.Bound, 0)
 }

@@ -325,8 +325,8 @@ func TestSimbaVectorLanes(t *testing.T) {
 	a := arch.SimbaLike(15, 4, 4)
 	w := workload.MustConv2D(workload.Conv2DParams{N: 1, M: 16, C: 16, P: 8, Q: 8, R: 1, S: 1})
 	e := MustEvaluator(w, a)
-	if e.lanes != 240 {
-		t.Fatalf("lanes = %f", e.lanes)
+	if lanes := e.Arch.TotalLanes(); lanes != 240 {
+		t.Fatalf("lanes = %d", lanes)
 	}
 	m := mapping.Uniform(w, a, 1)
 	// Slots: T(DRAM), T(GLB), SX(GLB,15), T(PEBuf), SY(PEBuf,4), SX(PEBuf,4).

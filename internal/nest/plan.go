@@ -222,7 +222,7 @@ func (p *Plan) NewScratch() *Scratch {
 }
 
 // Clone returns a copy of c whose per-level slices are freshly allocated
-// (one backing array), detaching it from any Scratch or cache it aliased.
+// (one backing array), detaching it from any Scratch it aliased.
 func (c Cost) Clone() Cost {
 	if c.LevelReads == nil {
 		return c

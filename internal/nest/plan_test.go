@@ -264,3 +264,46 @@ func TestCostClone(t *testing.T) {
 		t.Fatal("Clone still aliases the scratch")
 	}
 }
+
+// evalBenchFixture is the root package's kernel fixture (evalBenchSetup):
+// the Eyeriss-like ResNet-50 3x3 layer with a valid sampled mapping.
+func evalBenchFixture(b *testing.B) (*nest.Evaluator, *mapping.Mapping) {
+	b.Helper()
+	tc := planCases()[0]
+	ev := nest.MustEvaluator(tc.w, tc.a)
+	sp := mapspace.New(tc.w, tc.a, mapspace.RubyS, tc.cons(tc.w))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		m := sp.Sample(rng)
+		if ev.Evaluate(m).Valid {
+			return ev, m
+		}
+	}
+	b.Fatal("no valid mapping sampled")
+	return nil, nil
+}
+
+// BenchmarkEvaluateLegacy prices one mapping through the legacy test-oracle
+// model; BenchmarkEvaluatePlan is the compiled plan on the same fixture.
+func BenchmarkEvaluateLegacy(b *testing.B) {
+	b.ReportAllocs()
+	ev, m := evalBenchFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.EvaluateLegacy(m)
+	}
+}
+
+func BenchmarkEvaluatePlan(b *testing.B) {
+	b.ReportAllocs()
+	ev, m := evalBenchFixture(b)
+	plan, scratch := ev.Plan(), ev.Plan().NewScratch()
+	dm, err := m.Dense(ev.Work, ev.Arch, ev.Slots)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan.EvaluateInto(dm, scratch)
+	}
+}

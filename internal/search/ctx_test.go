@@ -167,20 +167,3 @@ func TestPortfolioCancelled(t *testing.T) {
 		t.Fatalf("cancelled portfolio took %v", wall)
 	}
 }
-
-// TestRandomCachedEngineSameResult: enabling the memo cache must not
-// change the search outcome for a fixed seed — evaluation is deterministic,
-// so cached and fresh costs are identical.
-func TestRandomCachedEngineSameResult(t *testing.T) {
-	sp, ev := toy(mapspace.RubyS)
-	opt := Options{Seed: 7, Threads: 1, MaxEvaluations: 2000}
-	plain := Random(context.Background(), sp, engine.New(ev), opt)
-	cached := Random(context.Background(), sp, engine.Config{CacheEntries: 1 << 12}.New(ev), opt)
-	if !reflect.DeepEqual(plain.BestCost, cached.BestCost) {
-		t.Errorf("best cost differs with cache: %+v vs %+v", plain.BestCost, cached.BestCost)
-	}
-	if plain.Evaluated != cached.Evaluated || plain.Valid != cached.Valid {
-		t.Errorf("counters differ with cache: %d/%d vs %d/%d",
-			plain.Valid, plain.Evaluated, cached.Valid, cached.Evaluated)
-	}
-}

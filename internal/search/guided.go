@@ -634,7 +634,6 @@ func (s *GuidedSearcher) spatialRescue(met engine.Metrics) (bool, bool, error) {
 						fsB[si], fsB[0] = curB, curB0
 						dn.SetChainRow(a, ba, fsA)
 						dn.SetChainRow(b, bb, fsB)
-						s.cur.ResetKey()
 						if ok && v < bestV {
 							found, bestV = true, v
 							winSI, winA, winB, winFA, winFB = si, a, b, fa, fb
@@ -654,7 +653,6 @@ func (s *GuidedSearcher) spatialRescue(met engine.Metrics) (bool, bool, error) {
 	fsB[winSI], fsB[0] = winFB, maxB/winFB
 	dn.SetChainRow(winA, ba, fsA)
 	dn.SetChainRow(winB, bb, fsB)
-	s.cur.ResetKey()
 	c := s.dw.Seed(s.cur)
 	if !c.Valid {
 		return false, false, errors.New("search: guided rescue mapping no longer validates")
@@ -675,10 +673,9 @@ func (s *GuidedSearcher) evalPatched(dn *mapping.Dense, a, b int, met engine.Met
 	w := s.sp.Work
 	okA := dn.SetChainRowChecked(a, w.Dims[a].Bound, s.rowFS[a])
 	okB := dn.SetChainRowChecked(b, w.Dims[b].Bound, s.rowFS[b])
-	s.cur.ResetKey()
 	if !okA || !okB {
 		s.res.Evaluated++
-		met.Evaluation(false, false)
+		met.Evaluation(false)
 		return 0, false
 	}
 	return s.evalSeed(s.cur, met)

@@ -72,9 +72,7 @@ func guidedSpaces() []guidedSpace {
 
 // guidedGolden is one pinned guided run: a space, a seed and a budget (0:
 // run until the stale-restart patience stops the search). steps > 0 stops
-// after that many Steps instead and pins the mid-run snapshot; cache > 0
-// runs on an engine with a memo cache of that many entries, whose keys the
-// in-place rescue must keep consistent with the mapping. want is the
+// after that many Steps instead and pins the mid-run snapshot. want is the
 // FNV-64a hash of the outcome, recorded on the searcher before its seed and
 // rescue passes were made allocation-free.
 type guidedGolden struct {
@@ -82,29 +80,26 @@ type guidedGolden struct {
 	seed   int64
 	budget int64
 	steps  int
-	cache  int
 	note   string
 	want   uint64
 }
 
 var guidedGoldens = []guidedGolden{
-	{"conv/ruby-s", 1, 3000, 0, 0, "", 0x679e935440c969e0},
-	{"conv/pfm", 2, 3000, 0, 0, "", 0xef5e5d5acd59db36},
-	{"conv/ruby-s-bypass", 3, 3000, 0, 0, "", 0xc2e3e528412ea846},
-	{"conv/ruby-s-fused", 4, 3000, 0, 0, "", 0xef3561322e71bccb},
-	{"mm/eyeriss-fixed", 1, 0, 0, 0, "", 0x9b0881922c9620e7},
-	{"mm/tpu-ruby-s", 1, 0, 0, 0, "", 0xeaeae6a0dc9a3445},
-	{"mm/tpu-pfm", 5, 0, 0, 0, "", 0xeabec02b4572592e},
-	{"conv/ruby-s", 1, 20, 0, 0, "budget ends in the spatial seeds", 0x2c385c08821c22af},
-	{"conv/ruby-s", 1, 1670, 0, 0, "budget ends in an improving rescue", 0x574d902059ce1dac},
-	{"mm/tpu-ruby-s", 1, 1612, 0, 0, "budget ends in an improving rescue", 0x404053c967f6fc62},
-	{"conv/ruby-s-fused", 4, 2975, 0, 0, "budget ends in a rescue", 0x1e2910f8dab00489},
-	{"conv/pfm", 2, 2460, 0, 0, "budget ends in a diversification batch", 0x893534a728a50bb9},
-	{"mm/eyeriss-fixed", 1, 4827, 0, 0, "budget ends in a perturbation kick", 0xc73932471ef2f03d},
-	{"conv/ruby-s-bypass", 3, 3000, 6, 0, "mid-run snapshot", 0x1e5e637bc7971b5b},
-	{"mm/tpu-ruby-s", 1, 0, 9, 0, "mid-run snapshot after a restart", 0x6ad89b9107cea0b0},
-	{"mm/tpu-ruby-s", 1, 0, 0, 1 << 12, "memo-cached engine", 0xeaeae6a0dc9a3445},
-	{"conv/ruby-s", 1, 3000, 0, 1 << 12, "memo-cached engine", 0x679e935440c969e0},
+	{"conv/ruby-s", 1, 3000, 0, "", 0x679e935440c969e0},
+	{"conv/pfm", 2, 3000, 0, "", 0xef5e5d5acd59db36},
+	{"conv/ruby-s-bypass", 3, 3000, 0, "", 0xc2e3e528412ea846},
+	{"conv/ruby-s-fused", 4, 3000, 0, "", 0xef3561322e71bccb},
+	{"mm/eyeriss-fixed", 1, 0, 0, "", 0x9b0881922c9620e7},
+	{"mm/tpu-ruby-s", 1, 0, 0, "", 0xeaeae6a0dc9a3445},
+	{"mm/tpu-pfm", 5, 0, 0, "", 0xeabec02b4572592e},
+	{"conv/ruby-s", 1, 20, 0, "budget ends in the spatial seeds", 0x2c385c08821c22af},
+	{"conv/ruby-s", 1, 1670, 0, "budget ends in an improving rescue", 0x574d902059ce1dac},
+	{"mm/tpu-ruby-s", 1, 1612, 0, "budget ends in an improving rescue", 0x404053c967f6fc62},
+	{"conv/ruby-s-fused", 4, 2975, 0, "budget ends in a rescue", 0x1e2910f8dab00489},
+	{"conv/pfm", 2, 2460, 0, "budget ends in a diversification batch", 0x893534a728a50bb9},
+	{"mm/eyeriss-fixed", 1, 4827, 0, "budget ends in a perturbation kick", 0xc73932471ef2f03d},
+	{"conv/ruby-s-bypass", 3, 3000, 6, "mid-run snapshot", 0x1e5e637bc7971b5b},
+	{"mm/tpu-ruby-s", 1, 0, 9, "mid-run snapshot after a restart", 0x6ad89b9107cea0b0},
 }
 
 // hashGuided folds a guided run's observable outcome into h: the best
@@ -172,7 +167,7 @@ func TestGuidedGolden(t *testing.T) {
 	}
 	for _, g := range guidedGoldens {
 		sp := spaces[g.space]()
-		eng := engine.Config{CacheEntries: g.cache}.New(nest.MustEvaluator(sp.Work, sp.Arch))
+		eng := engine.New(nest.MustEvaluator(sp.Work, sp.Arch))
 		s := NewGuided(sp, eng, Options{Seed: g.seed, MaxEvaluations: g.budget})
 		for i := 0; g.steps == 0 || i < g.steps; i++ {
 			done, err := s.Step(context.Background())

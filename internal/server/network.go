@@ -145,7 +145,7 @@ func (s *service) handleNetwork(w http.ResponseWriter, r *http.Request) {
 	st := sweep.Strategy{Name: kind.String(), Kind: kind}
 	so := sweep.SuiteOptions{
 		Search: opt,
-		Engine: engine.Config{CacheEntries: searchCacheEntries, Metrics: s.ins},
+		Engine: engine.Config{Metrics: s.ins},
 	}
 	nr, err := sweep.SearchNetwork(ctx, net, a, st, consFn, so, fuse)
 	if err != nil {

@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -148,5 +150,68 @@ func TestJobsGaugeAllStatuses(t *testing.T) {
 		if !strings.Contains(body, `ruby_jobs{status="`+status+`"}`) {
 			t.Errorf("ruby_jobs missing status %q\n%s", status, body)
 		}
+	}
+}
+
+// metricsExposition is every series /v1/metrics serves as Prometheus text:
+// its HELP and TYPE lines, in exposition order.
+const metricsExposition = `# HELP ruby_evaluations_total Total mapping evaluations through the engine.
+# TYPE ruby_evaluations_total counter
+# HELP ruby_valid_total Evaluations with a valid verdict.
+# TYPE ruby_valid_total counter
+# HELP ruby_improvements_total Incumbent-best improvement events.
+# TYPE ruby_improvements_total counter
+# HELP ruby_searches_total Completed searches.
+# TYPE ruby_searches_total counter
+# HELP ruby_search_seconds_total Summed search wall time in seconds.
+# TYPE ruby_search_seconds_total counter
+# HELP ruby_eval_panics_total Recovered model-evaluation panics (incl. retries).
+# TYPE ruby_eval_panics_total counter
+# HELP ruby_guided_moves Committed moves of the model-guided searcher.
+# TYPE ruby_guided_moves counter
+# HELP ruby_guided_restarts Perturbation restarts of the model-guided searcher.
+# TYPE ruby_guided_restarts counter
+# HELP ruby_portfolio_wins Portfolio searches won, by member searcher.
+# TYPE ruby_portfolio_wins gauge
+# HELP ruby_eval_latency_seconds Model evaluation latency (sampled; see engine.Config.LatencySampleEvery).
+# TYPE ruby_eval_latency_seconds histogram
+# HELP ruby_batch_latency_seconds EvaluateBatch wall time.
+# TYPE ruby_batch_latency_seconds histogram
+# HELP ruby_search_wall_seconds Per-search wall time.
+# TYPE ruby_search_wall_seconds histogram
+# HELP ruby_search_best_edp Best objective value (EDP by default) per completed search.
+# TYPE ruby_search_best_edp histogram
+# HELP ruby_jobs Number of search jobs by status.
+# TYPE ruby_jobs gauge
+`
+
+// TestMetricsExpositionGolden pins the series names, types and help text of
+// the Prometheus exposition, and the keys of the JSON counter snapshot.
+func TestMetricsExpositionGolden(t *testing.T) {
+	h := New()
+	req := httptest.NewRequest("GET", "/v1/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var meta strings.Builder
+	for _, line := range strings.SplitAfter(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "#") {
+			meta.WriteString(line)
+		}
+	}
+	if got := meta.String(); got != metricsExposition {
+		t.Errorf("exposition series changed:\n%s\nwant:\n%s", got, metricsExposition)
+	}
+
+	_, out := do(t, h, "GET", "/v1/metrics", "")
+	keys := make([]string, 0, len(out))
+	for k := range out {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"evaluations", "guided_moves", "guided_restarts", "improvements",
+		"panics", "search_seconds", "searches", "valid", "valid_rate"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("JSON snapshot keys = %v, want %v", keys, want)
 	}
 }

@@ -28,8 +28,7 @@
 //
 // Searches run through the evaluation engine: they honor the request
 // context (a client disconnect aborts the search promptly) plus an optional
-// per-request "timeout_ms", memoize duplicate samples, and report aggregate
-// counters at /v1/metrics.
+// per-request "timeout_ms", and report aggregate counters at /v1/metrics.
 //
 // Jobs are the fault-tolerant path: build the handler with NewService and a
 // state directory, and every job's record plus its periodic search
@@ -64,12 +63,6 @@ import (
 	"ruby/internal/workloads"
 )
 
-// searchCacheEntries bounds the per-request memo cache. Engines (and their
-// caches) are per-request — each request carries its own workload and
-// architecture, so there is nothing to share across requests — and the cache
-// pays off within a single search, where random sampling revisits mappings.
-const searchCacheEntries = 1 << 15
-
 // service carries the handlers' shared state: the engine configuration
 // template, the process-wide pipeline instruments and their exposition
 // registry, and the async job manager.
@@ -82,9 +75,11 @@ type service struct {
 	defaultSearch string
 }
 
-// engineFor builds the per-request evaluation pipeline.
+// engineFor builds the per-request evaluation pipeline. Engines are
+// per-request: each request carries its own workload and architecture, so
+// there is nothing to share across requests but the metrics.
 func (s *service) engineFor(ev *nest.Evaluator) *engine.Engine {
-	return engine.Config{CacheEntries: searchCacheEntries, Metrics: s.ins}.New(ev)
+	return engine.Config{Metrics: s.ins}.New(ev)
 }
 
 // mux wires the endpoint handlers.

@@ -55,7 +55,7 @@ func Strategies() []Strategy {
 type ConstraintFn func(*workload.Workload) mapspace.Constraints
 
 // SuiteOptions bundles the knobs of a suite run beyond the per-layer search
-// options: the evaluation-engine configuration (cache, metrics), an optional
+// options: the evaluation-engine configuration (metrics, workers), an optional
 // mapping library, and the number of layers searched concurrently.
 type SuiteOptions struct {
 	// Search configures each layer's random search.

@@ -93,7 +93,6 @@ type Workload struct {
 
 	bounds map[string]int
 	byName map[string]*Tensor
-	sorted []string
 	byteID []int16 // first-byte dim-id table when all names are distinct single bytes
 }
 
@@ -125,8 +124,6 @@ func (w *Workload) index() {
 	for i := range w.Tensors {
 		w.byName[w.Tensors[i].Name] = &w.Tensors[i]
 	}
-	w.sorted = w.DimNames()
-	sort.Strings(w.sorted)
 	w.byteID = make([]int16, 256)
 	for i := range w.byteID {
 		w.byteID[i] = -1
@@ -400,13 +397,8 @@ func (w *Workload) Scale(newBounds map[string]int) (*Workload, error) {
 }
 
 // SortedDimNames returns dimension names sorted lexicographically; useful for
-// deterministic iteration in tests and hashing. The returned slice is shared
-// and must not be mutated — mapping keying sits on the hot path of the
-// evaluation cache and cannot afford a copy per call.
+// deterministic iteration in tests and hashing.
 func (w *Workload) SortedDimNames() []string {
-	if w.sorted != nil {
-		return w.sorted
-	}
 	names := w.DimNames()
 	sort.Strings(names)
 	return names

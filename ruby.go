@@ -15,7 +15,7 @@
 //
 // Every search entry point is context-first: pass context.Background() when
 // cancellation is not needed. The engine argument configures the evaluation
-// pipeline (cache, metrics, parallelism); NewEngine gives a transparent
+// pipeline (metrics, parallelism); NewEngine gives a transparent
 // pass-through.
 //
 // Mapspace kinds: PFM (perfect factorization, the Timeloop baseline), Ruby
@@ -200,12 +200,13 @@ type (
 )
 
 // Evaluation engine: the pipeline behind every searcher, adding context
-// cancellation, a memo cache keyed by canonical mapping signatures, metrics
-// hooks, and parallel batch evaluation.
+// cancellation, panic isolation, metrics hooks, and parallel batch
+// evaluation.
 type (
 	// Engine is the evaluation pipeline around an Evaluator.
 	Engine = engine.Engine
-	// EngineConfig configures an Engine (cache size, metrics hook, workers).
+	// EngineConfig configures an Engine (metrics hook, workers, latency
+	// sampling).
 	EngineConfig = engine.Config
 	// EngineMetrics receives pipeline events (evaluations, improvements,
 	// search completions).
@@ -218,8 +219,8 @@ type (
 )
 
 var (
-	// NewEngine wraps an Evaluator in a pass-through pipeline (no cache,
-	// no metrics); use EngineConfig.New for a configured one.
+	// NewEngine wraps an Evaluator in a pass-through pipeline (no
+	// metrics); use EngineConfig.New for a configured one.
 	NewEngine = engine.New
 )
 
