@@ -28,24 +28,26 @@ race-dist:
 	$(GO) test -race ./internal/dist/...
 
 # Evaluation-kernel microbenchmarks (compiled plan, engine worker,
-# sampler pipeline, delta-evaluation neighbor steps, cost attribution and
-# guided-mapper convergence), persisted as BENCH_eval.json and appended as a
-# dated record to BENCH_history.jsonl to track the perf trajectory across
-# PRs. `bench-all` runs the full suite once.
-BENCH_PATTERN = BenchmarkEvaluate|BenchmarkEngine|BenchmarkSample|BenchmarkNeighbor|BenchmarkAttribute|BenchmarkGuidedConverge|BenchmarkFused
+# sampler pipeline, delta-evaluation neighbor steps, cost attribution,
+# guided-mapper convergence and the fusion-aware segment search in
+# internal/sweep), persisted as BENCH_eval.json and appended as a dated
+# record to BENCH_history.jsonl to track the perf trajectory across PRs.
+# `bench-all` runs the full suite once.
+BENCH_PATTERN = BenchmarkEvaluate|BenchmarkEngine|BenchmarkSample|BenchmarkNeighbor|BenchmarkAttribute|BenchmarkGuidedConverge|BenchmarkFused|BenchmarkSegmentSearch
+BENCH_PKGS = . ./internal/sweep
 bench:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s . \
+	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s $(BENCH_PKGS) \
 		| $(GO) run ./tools/benchjson -o BENCH_eval.json -history BENCH_history.jsonl
 
 # CI perf gate: rerun the microbenchmarks against the committed snapshot and
 # fail on a >20% ns/op regression of the gated kernels, any allocation where
 # the snapshot was allocation-free (the hot-path evaluate/sample/attribute
 # loops), or a >20% growth in the guided mapper's evals-to-convergence or
-# allocations per search.
+# allocations per search, or in the segment search's allocations.
 # Does not rewrite the committed snapshot or history.
-BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkAttribute,BenchmarkGuidedConverge:convergence_evals,BenchmarkGuidedConverge:allocs/op
+BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkAttribute,BenchmarkGuidedConverge:convergence_evals,BenchmarkGuidedConverge:allocs/op,BenchmarkSegmentSearch:allocs/op
 bench-gate:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s . \
+	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s $(BENCH_PKGS) \
 		| $(GO) run ./tools/benchjson -o '' -baseline BENCH_eval.json -gate '$(BENCH_GATE)'
 
 bench-all:

@@ -2,9 +2,10 @@
 // plus fusion-aware segment search. A fused segment pins a producer layer's
 // tiling to its consumer's input-tile boundaries (mapspace.FuseTileOf) so the
 // intermediate tensor stays at the shared on-chip level and its DRAM
-// round-trip is elided (nest.FusedEvaluator). Segments are searched per edge,
-// then selected greedily without sharing nodes, so each layer participates in
-// at most one fused pair.
+// round-trip is elided (nest.FusedEvaluator). Segments are searched per edge
+// on so.Parallel workers and gathered in edge order, then selected greedily
+// without sharing nodes, so each layer participates in at most one fused pair
+// and the result does not depend on the worker count.
 package sweep
 
 import (
@@ -109,9 +110,11 @@ type NetworkResult struct {
 // pair's per-layer baseline, selected greedily so no node fuses twice and
 // every kept segment strictly lowers the network EDP. The returned totals
 // therefore never exceed the baseline's, and improve strictly whenever any
-// segment is kept. Segment searches are seeded from so.Search.Seed and the
-// edge's names, so runs are reproducible, and so.Checkpoint (when set)
-// persists both the baseline layers and the per-edge segment outcomes.
+// segment is kept. Segment searches run so.Parallel at a time, each seeded
+// from so.Search.Seed and the edge's names, so runs are reproducible and
+// bit-identical at any worker count; so.Checkpoint (when set) persists both
+// the baseline layers and the per-edge segment outcomes. A cancelled ctx
+// stops every segment worker and returns ctx's error.
 func SearchNetwork(ctx context.Context, net *workload.Network, a *arch.Arch, st Strategy,
 	consFn ConstraintFn, so SuiteOptions, fuse bool) (*NetworkResult, error) {
 
@@ -138,18 +141,31 @@ func SearchNetwork(ctx context.Context, net *workload.Network, a *arch.Arch, st 
 		byName[lr.Layer.Name] = lr
 	}
 
-	var candidates []SegmentResult
-	for _, b := range binds {
+	// Each segment search is seeded from its edge alone and writes its own
+	// slot; gathering candidates in edge order keeps the selection's input
+	// independent of the worker count.
+	type outcome struct {
+		sr SegmentResult
+		ok bool
+	}
+	outs := make([]outcome, len(binds))
+	err = forEachIndex(ctx, len(binds), so.Parallel, func(ctx context.Context, i int) error {
 		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("sweep: network %s: %w", net.Name, ctx.Err())
+			return fmt.Errorf("sweep: network %s: %w", net.Name, ctx.Err())
 		}
-		sr, ok, err := searchSegmentCached(ctx, b, a, st, consFn, so,
+		b := binds[i]
+		var err error
+		outs[i].sr, outs[i].ok, err = searchSegmentCached(ctx, b, a, st, consFn, so,
 			byName[b.Prod.Name], byName[b.Cons.Name])
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			candidates = append(candidates, sr)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var candidates []SegmentResult
+	for _, o := range outs {
+		if o.ok {
+			candidates = append(candidates, o.sr)
 		}
 	}
 
@@ -213,6 +229,10 @@ func searchSegmentCached(ctx context.Context, b workload.EdgeBinding, a *arch.Ar
 // best fusable consumers found by sampling.
 const segmentConsumers = 4
 
+// segmentCheckEvery is how many evaluations a segment search runs between
+// context checks.
+const segmentCheckEvery = 256
+
 // searchSegment searches one edge for a fused pair strictly better than the
 // two layers' per-layer baseline. The unconstrained per-layer winner's
 // tiling is rarely fusable (fusion needs the intermediate resident at the
@@ -220,11 +240,18 @@ const segmentConsumers = 4
 //
 //  1. shortlist fusable consumer tilings — the baseline winner plus sampled
 //     candidates passing nest's consumer-side preconditions, ranked by
-//     per-layer EDP;
+//     per-layer EDP — then hill-climb each within the fusable region;
 //  2. per candidate, derive the producer's fused-tile constraint
 //     (mapspace.FuseTileOf), sample producers inside the constrained
 //     mapspace until the fused evaluation is valid, then hill-climb the
 //     producer with the fused mapspace's mutator on the fused pair EDP.
+//
+// Sampling redraws one scratch mapping in place, and hill-climbing applies
+// each proposed move to the incumbent and undoes it unless the result
+// strictly improves, so a proposal costs no clone and no fresh lowering.
+// Mutator proposals do not depend on the mapping they are applied to, so
+// the random draws are those of a clone-per-proposal climb. The baseline
+// winner is cloned before it is evaluated and never mutated itself.
 //
 // A candidate is returned only when the winning fused evaluation's pair EDP
 // is strictly below the baseline pair's; SearchNetwork's selection then
@@ -250,37 +277,63 @@ func searchSegment(ctx context.Context, b workload.EdgeBinding, a *arch.Arch, st
 		Repeat:           minInt(b.Prod.Repeats(), b.Cons.Repeats()),
 		BaselineEnergyPJ: baseE, BaselineCycles: baseC,
 	}
+	// cancelled checks ctx every segmentCheckEvery-th step of a loop.
+	cancelled := func(step int64) error {
+		if step%segmentCheckEvery != 0 || ctx == nil || ctx.Err() == nil {
+			return nil
+		}
+		return fmt.Errorf("sweep: segment %s->%s: %w", b.Prod.Name, b.Cons.Name, ctx.Err())
+	}
 
-	// Stage 1: shortlist fusable consumers, best per-layer EDP first.
+	// Stage 1: shortlist fusable consumers, best per-layer EDP first. add
+	// takes ownership of m when it ranks and returns a mapping the caller
+	// may redraw: m itself when it did not rank, the one it pushed off a
+	// full shortlist, or nil.
 	type consumer struct {
 		m   *mapping.Mapping
 		edp float64
 	}
-	var cands []consumer
-	add := func(m *mapping.Mapping) {
+	cands := make([]consumer, 0, segmentConsumers)
+	add := func(m *mapping.Mapping) *mapping.Mapping {
 		c, ok := fe.ConsumerFusable(m)
 		sr.Evaluated++
 		if !ok {
-			return
+			return m
 		}
-		for i := range cands {
-			if c.EDP < cands[i].edp {
-				cands = append(cands[:i], append([]consumer{{m, c.EDP}}, cands[i:]...)...)
-				if len(cands) > segmentConsumers {
-					cands = cands[:segmentConsumers]
-				}
-				return
+		i := len(cands)
+		for k := range cands {
+			if c.EDP < cands[k].edp {
+				i = k
+				break
 			}
 		}
-		if len(cands) < segmentConsumers {
-			cands = append(cands, consumer{m, c.EDP})
+		if i == segmentConsumers {
+			return m
 		}
+		var spare *mapping.Mapping
+		if len(cands) < segmentConsumers {
+			cands = append(cands, consumer{})
+		} else {
+			spare = cands[segmentConsumers-1].m
+		}
+		copy(cands[i+1:], cands[i:len(cands)-1])
+		cands[i] = consumer{m, c.EDP}
+		return spare
 	}
+	var scratch *mapping.Mapping
 	if bc.Workload == b.Cons.Work { // the winner, unless a padded variant won
-		add(bc.Search.Best)
+		scratch = add(bc.Search.Best.Clone())
 	}
+	smp := csp.NewSampler()
 	for i := int64(0); i < budget/4; i++ {
-		add(csp.Sample(rng))
+		if err := cancelled(i); err != nil {
+			return SegmentResult{}, false, err
+		}
+		if scratch == nil {
+			scratch = &mapping.Mapping{}
+		}
+		smp.SampleInto(rng, scratch)
+		scratch = add(scratch)
 	}
 	// Random fusable samples are usually far off the per-layer winner, so
 	// hill-climb each shortlisted consumer within the fusable region.
@@ -288,13 +341,19 @@ func searchSegment(ctx context.Context, b workload.EdgeBinding, a *arch.Arch, st
 	if len(cands) > 0 {
 		steps := budget / 4 / int64(len(cands))
 		for i := range cands {
+			cm := cands[i].m
 			for j := int64(0); j < steps; j++ {
-				m := cands[i].m.Clone()
-				cmu.Propose(rng).Apply(m)
-				c, ok := fe.ConsumerFusable(m)
+				if err := cancelled(j); err != nil {
+					return SegmentResult{}, false, err
+				}
+				mv := cmu.Propose(rng)
+				mv.Apply(cm)
+				c, ok := fe.ConsumerFusable(cm)
 				sr.Evaluated++
 				if ok && c.EDP < cands[i].edp {
-					cands[i] = consumer{m, c.EDP}
+					cands[i].edp = c.EDP
+				} else {
+					mv.Undo(cm)
 				}
 			}
 		}
@@ -307,9 +366,6 @@ func searchSegment(ctx context.Context, b workload.EdgeBinding, a *arch.Arch, st
 		perCons = 1
 	}
 	for _, cand := range cands {
-		if ctx != nil && ctx.Err() != nil {
-			return SegmentResult{}, false, fmt.Errorf("sweep: segment %s->%s: %w", b.Prod.Name, b.Cons.Name, ctx.Err())
-		}
 		cm := cand.m
 		ft, err := mapspace.FuseTileOf(b, a, cm, FuseLevel)
 		if err != nil {
@@ -318,25 +374,31 @@ func searchSegment(ctx context.Context, b workload.EdgeBinding, a *arch.Arch, st
 		pcons := consFn(b.Prod.Work)
 		pcons.FuseTile, pcons.FuseLevel = ft, FuseLevel
 		psp := mapspace.New(b.Prod.Work, a, st.Kind, pcons)
-		mu := psp.NewMutator()
+		psmp, mu := psp.NewSampler(), psp.NewMutator()
 
+		// Sample until a valid fused pair turns up, then climb from it in
+		// place.
 		var best *mapping.Mapping
 		var bestFC nest.FusedCost
+		pm := &mapping.Mapping{}
 		for j := int64(0); j < perCons; j++ {
-			var pm *mapping.Mapping
-			if best == nil {
-				pm = psp.Sample(rng)
-			} else {
-				pm = best.Clone()
-				mu.Propose(rng).Apply(pm)
+			if err := cancelled(j); err != nil {
+				return SegmentResult{}, false, err
 			}
 			sr.Evaluated++
-			fc := fe.Evaluate(pm, cm)
-			if !fc.Valid {
+			if best == nil {
+				psmp.SampleInto(rng, pm)
+				if fc := fe.Evaluate(pm, cm); fc.Valid {
+					best, bestFC = pm, fc
+				}
 				continue
 			}
-			if best == nil || fc.EDP < bestFC.EDP {
-				best, bestFC = pm, fc
+			mv := mu.Propose(rng)
+			mv.Apply(best)
+			if fc := fe.Evaluate(best, cm); fc.Valid && fc.EDP < bestFC.EDP {
+				bestFC = fc
+			} else {
+				mv.Undo(best)
 			}
 		}
 		if best == nil || bestFC.EDP >= baseE*baseC {

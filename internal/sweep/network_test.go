@@ -1,12 +1,23 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ruby/internal/arch"
+	"ruby/internal/checkpoint"
+	"ruby/internal/mapping"
 	"ruby/internal/mapspace"
+	"ruby/internal/obs"
 	"ruby/internal/search"
 	"ruby/internal/workload"
 	"ruby/internal/workloads"
@@ -175,50 +186,240 @@ func TestSearchNetworkFusesDeepBenchStack(t *testing.T) {
 	}
 }
 
-// A checkpointed network search must resume bit-identically: the second run
-// restores both the baseline layers and the fused segments without
-// re-searching.
+// A checkpointed network search must resume bit-identically with segment
+// searches running in parallel: from a checkpoint holding every outcome the
+// second run re-searches nothing, and from a partial checkpoint (every
+// baseline layer plus some fused and some negative segment records) it
+// re-searches exactly the missing edges and reproduces the full run.
 func TestSearchNetworkCheckpointResume(t *testing.T) {
-	net := pairNetwork()
-	a := arch.EyerissLike(4, 3, 2)
+	net := workloads.ResNet50Network()
+	a := arch.EyerissLike(14, 12, 128)
 	st := Strategy{Name: "Ruby-S", Kind: mapspace.RubyS}
-	path := filepath.Join(t.TempDir(), "net.suite.json")
-	opt := search.Options{Seed: 5, Threads: 1, MaxEvaluations: 2000}
+	opt := search.Options{Seed: 1, Threads: 1, MaxEvaluations: 300}
+	dir := t.TempDir()
+	run := func(path string) (*NetworkResult, *SuiteCheckpoint) {
+		t.Helper()
+		cp, err := OpenSuiteCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nr, err := SearchNetwork(context.Background(), net, a, st, mapspace.EyerissRowStationary,
+			SuiteOptions{Search: opt, Checkpoint: cp, Parallel: 4}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nr, cp
+	}
 
+	full := filepath.Join(dir, "full.suite.json")
+	first, cp := run(full)
+	if len(first.Segments) == 0 {
+		t.Fatal("no fused segments to resume")
+	}
+	if len(cp.st.Segments) != len(net.Edges) {
+		t.Fatalf("checkpoint holds %d segment records, want one per edge (%d)", len(cp.st.Segments), len(net.Edges))
+	}
+
+	second, _ := run(full)
+	sameNetworkResult(t, second, first, func(string) bool { return true })
+
+	// Keep every other segment record, sorted by key, so the partial
+	// checkpoint mixes fused and negative outcomes.
+	keys := make([]string, 0, len(cp.st.Segments))
+	for k := range cp.st.Segments {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	partial := checkpoint.SuiteState{Layers: cp.st.Layers, Segments: map[string]*checkpoint.SegmentState{}}
+	var fused, negative int
+	for i := 0; i < len(keys); i += 2 {
+		ss := cp.st.Segments[keys[i]]
+		partial.Segments[keys[i]] = ss
+		if ss.Fused {
+			fused++
+		} else {
+			negative++
+		}
+	}
+	if fused == 0 || negative == 0 {
+		t.Fatalf("partial checkpoint holds %d fused and %d negative records, want both", fused, negative)
+	}
+	part := filepath.Join(dir, "partial.suite.json")
+	if err := checkpoint.Save(part, checkpoint.KindSuite, &partial); err != nil {
+		t.Fatal(err)
+	}
+	third, cp3 := run(part)
+	sameNetworkResult(t, third, first, func(edge string) bool {
+		for k := range partial.Segments {
+			if strings.HasSuffix(k, "|fuse="+edge) {
+				return true
+			}
+		}
+		return false
+	})
+	// The resumed run recorded exactly the outcomes the full run did (the
+	// mappings compared compacted: records loaded from the file lost the
+	// indentation Encode writes).
+	if len(cp3.st.Segments) != len(cp.st.Segments) {
+		t.Fatalf("partial resume left %d segment records, want %d", len(cp3.st.Segments), len(cp.st.Segments))
+	}
+	for k, want := range cp.st.Segments {
+		got := cp3.st.Segments[k]
+		if got == nil || got.Fused != want.Fused || got.EDP != want.EDP || got.Evaluated != want.Evaluated ||
+			!sameJSON(got.Producer, want.Producer) || !sameJSON(got.Consumer, want.Consumer) {
+			t.Fatalf("segment record %s diverges after partial resume", k)
+		}
+	}
+}
+
+func sameJSON(a, b []byte) bool {
+	var ca, cb bytes.Buffer
+	if len(a) == 0 || len(b) == 0 {
+		return len(a) == len(b)
+	}
+	return json.Compact(&ca, a) == nil && json.Compact(&cb, b) == nil && bytes.Equal(ca.Bytes(), cb.Bytes())
+}
+
+// sameNetworkResult fails unless got reproduces want bit for bit: totals,
+// baseline layers and selected segments. Segments for which resumed reports
+// true must have been restored (Evaluated 0); the others must report
+// want's evaluation count.
+func sameNetworkResult(t *testing.T, got, want *NetworkResult, resumed func(edge string) bool) {
+	t.Helper()
+	if got.EDP != want.EDP || got.TotalEnergyPJ != want.TotalEnergyPJ || got.TotalCycles != want.TotalCycles {
+		t.Fatalf("resumed totals diverge: EDP %g vs %g", got.EDP, want.EDP)
+	}
+	for i := range want.Baseline.Layers {
+		if got.Baseline.Layers[i].Cost.EDP != want.Baseline.Layers[i].Cost.EDP {
+			t.Fatalf("baseline layer %s diverges", want.Baseline.Layers[i].Layer.Name)
+		}
+	}
+	if len(got.Segments) != len(want.Segments) {
+		t.Fatalf("resumed run selected %d segments, want %d", len(got.Segments), len(want.Segments))
+	}
+	for i, w := range want.Segments {
+		g := got.Segments[i]
+		edge := w.From + "->" + w.To
+		if g.From != w.From || g.To != w.To || g.Fused.EDP != w.Fused.EDP || g.Fused.Cycles != w.Fused.Cycles ||
+			g.Fused.EnergyPJ != w.Fused.EnergyPJ || g.Fused.ElidedWords != w.Fused.ElidedWords {
+			t.Fatalf("segment %d: got %s->%s EDP %g, want %s EDP %g", i, g.From, g.To, g.Fused.EDP, edge, w.Fused.EDP)
+		}
+		for _, pair := range [][2]*mapping.Mapping{{g.Producer, w.Producer}, {g.Consumer, w.Consumer}} {
+			ge, err1 := pair[0].Encode()
+			we, err2 := pair[1].Encode()
+			if err1 != nil || err2 != nil || !bytes.Equal(ge, we) {
+				t.Fatalf("segment %s mappings diverge", edge)
+			}
+		}
+		wantEval := w.Evaluated
+		if resumed(edge) {
+			wantEval = 0
+		}
+		if g.Evaluated != wantEval {
+			t.Fatalf("segment %s evaluated %d, want %d", edge, g.Evaluated, wantEval)
+		}
+	}
+}
+
+// Concurrent segment records into one checkpoint must not race and must all
+// persist.
+func TestSuiteCheckpointConcurrentRecordSegment(t *testing.T) {
+	net := workloads.ResNet50Network()
+	binds, err := net.Bindings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.EyerissLike(14, 12, 128)
+	st := Strategy{Name: "Ruby-S", Kind: mapspace.RubyS}
+	opt := search.Options{Seed: 1, MaxEvaluations: 300}
+	path := filepath.Join(t.TempDir(), "net.suite.json")
 	cp, err := OpenSuiteCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := SearchNetwork(context.Background(), net, a, st, freeCons,
-		SuiteOptions{Search: opt, Checkpoint: cp}, true)
+	var wg sync.WaitGroup
+	errs := make([]error, len(binds))
+	for i, b := range binds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sr := SegmentResult{From: b.Prod.Name, To: b.Cons.Name, EdgeIndex: b.EdgeIndex, Evaluated: int64(i + 1)}
+			errs[i] = cp.recordSegment(b, a, st, opt, sr, false)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	back, err := OpenSuiteCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Segments) != 1 {
-		t.Fatalf("got %d fused segments, want 1", len(first.Segments))
+	if len(back.st.Segments) != len(binds) {
+		t.Fatalf("reopened checkpoint holds %d segment records, want %d", len(back.st.Segments), len(binds))
 	}
+	for i, b := range binds {
+		ss := back.st.Segments[segmentKey(a, st, opt, b)]
+		if ss == nil || !ss.Done || ss.Evaluated != int64(i+1) {
+			t.Fatalf("segment %s->%s record %+v lost or wrong", b.Prod.Name, b.Cons.Name, ss)
+		}
+	}
+}
 
-	cp2, err := OpenSuiteCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+// Cancelling the context during the segment phase makes SearchNetwork
+// return the context's error, and every segment worker exits.
+func TestSearchNetworkCancelDuringSegments(t *testing.T) {
+	net := workloads.ResNet50Network()
+	a := arch.EyerissLike(14, 12, 128)
+	st := Strategy{Name: "Ruby-S", Kind: mapspace.RubyS}
+	// The baseline stops on its no-improvement criterion; the segment
+	// searches, which spend the whole evaluation budget, would run for
+	// hours.
+	so := SuiteOptions{
+		Search:   search.Options{Seed: 1, Threads: 1, MaxEvaluations: 1 << 40, ConsecutiveNoImprove: 50},
+		Parallel: 4,
 	}
-	second, err := SearchNetwork(context.Background(), net, a, st, freeCons,
-		SuiteOptions{Search: opt, Checkpoint: cp2}, true)
-	if err != nil {
-		t.Fatal(err)
+	before := runtime.NumGoroutine()
+	rec := obs.NewRecorder(1 << 16)
+	ctx, cancel := context.WithCancel(obs.WithRecorder(context.Background(), rec))
+	defer cancel()
+	// The baseline suite span ends before any segment search starts, so
+	// the first constraint lookup after it comes from inside a segment
+	// search: cancel there.
+	baselineDone := func() bool {
+		for _, sp := range rec.Spans() {
+			if strings.HasPrefix(sp.Name, "suite:") {
+				return true
+			}
+		}
+		return false
 	}
-	if second.EDP != first.EDP || second.TotalEnergyPJ != first.TotalEnergyPJ ||
-		second.TotalCycles != first.TotalCycles {
-		t.Fatalf("resumed totals diverge: %g vs %g", second.EDP, first.EDP)
+	consFn := func(w *workload.Workload) mapspace.Constraints {
+		if baselineDone() {
+			cancel()
+		}
+		return mapspace.EyerissRowStationary(w)
 	}
-	if len(second.Segments) != 1 {
-		t.Fatalf("resumed run lost the fused segment")
+	_, err := SearchNetwork(ctx, net, a, st, consFn, so, true)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchNetwork returned %v, want context.Canceled", err)
 	}
-	sg1, sg2 := first.Segments[0], second.Segments[0]
-	if sg2.Fused.EDP != sg1.Fused.EDP || sg2.Fused.ElidedWords != sg1.Fused.ElidedWords {
-		t.Fatalf("resumed segment cost diverges: %+v vs %+v", sg2.Fused, sg1.Fused)
+	var segments int
+	for _, sp := range rec.Spans() {
+		if strings.HasPrefix(sp.Name, "segment:") {
+			segments++
+		}
 	}
-	if sg2.Evaluated != 0 {
-		t.Fatalf("resumed segment re-searched (%d evaluations)", sg2.Evaluated)
+	if segments == 0 {
+		t.Fatal("no segment search was running when the context was cancelled")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the search", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

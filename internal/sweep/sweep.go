@@ -4,10 +4,10 @@
 // (Figs. 13-14).
 //
 // Suite runs route through the evaluation engine (internal/engine): layer
-// searches honor context cancellation, share a metrics hook, optionally
-// memoize duplicate samples, and run in parallel across layers (each layer's
-// search result is independent and seeded deterministically, so parallel and
-// serial suite runs produce identical output). When the context carries an
+// searches honor context cancellation, share a metrics hook, and run in
+// parallel across layers, as do a network search's fused-segment searches
+// (each result is independent and seeded deterministically, so parallel and
+// serial runs produce identical output). When the context carries an
 // obs.Recorder, each suite and layer search records a trace span, so a suite
 // run's span tree reads suite → layer → search → eval-batch.
 package sweep
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ruby/internal/arch"
 	"ruby/internal/engine"
@@ -207,45 +208,13 @@ func RunSuiteLayers(ctx context.Context, layers []workloads.Layer, a *arch.Arch,
 	so = so.withDefaults()
 	out := &SuiteResult{Strategy: st, Arch: a}
 	results := make([]LayerResult, len(layers))
-	errs := make([]error, len(layers))
-
-	workers := so.Parallel
-	if workers > len(layers) {
-		workers = len(layers)
-	}
-	if workers <= 1 {
-		for i, l := range layers {
-			results[i], errs[i] = searchLayerCached(ctx, l, a, st, consFn, so)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-	} else {
-		var next int
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for t := 0; t < workers; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					i := next
-					next++
-					mu.Unlock()
-					if i >= len(layers) {
-						return
-					}
-					results[i], errs[i] = searchLayerCached(ctx, layers[i], a, st, consFn, so)
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	err := forEachIndex(ctx, len(layers), so.Parallel, func(ctx context.Context, i int) error {
+		var err error
+		results[i], err = searchLayerCached(ctx, layers[i], a, st, consFn, so)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for i, l := range layers {
@@ -256,6 +225,53 @@ func RunSuiteLayers(ctx context.Context, layers []workloads.Layer, a *arch.Arch,
 	}
 	out.EDP = out.TotalEnergyPJ * out.TotalCycles
 	return out, nil
+}
+
+// forEachIndex runs fn for every index in [0, n) on up to workers
+// goroutines (serially when workers <= 1) and returns the error of the
+// lowest failing index. Indices are taken in ascending order and workers
+// stop taking new ones once an index has failed, so every index below the
+// first failing one still runs to completion: the error returned is the one
+// a serial in-order loop stops at. fn writes its result into an index-owned
+// slot, so callers aggregate in index order whatever the scheduling.
+func forEachIndex(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for t := 0; t < workers; t++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(ctx, i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func searchLayerCached(ctx context.Context, l workloads.Layer, a *arch.Arch, st Strategy,
